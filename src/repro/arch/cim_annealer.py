@@ -35,7 +35,7 @@ from repro.arch.hardware import HardwareConfig
 from repro.arch.ledger import Ledger
 from repro.arch.mapping import CrossbarMapping
 from repro.arch.result import CimRunResult
-from repro.circuits.crossbar import DgFefetCrossbar
+from repro.circuits.crossbar import ActivationStats, DgFefetCrossbar
 from repro.core.annealer import InSituAnnealer
 from repro.core.factors import FractionalFactor, VbgEncoder
 from repro.core.reorder import (
@@ -373,7 +373,7 @@ class InSituCimAnnealer:
         self._ledger: Ledger | None = None
         self._iter_energy: list[float] | None = None
         self._iter_time: list[float] | None = None
-        self._pending: dict | None = None
+        self._pending: tuple[ActivationStats, bool] | None = None
         self._last_vbg: float | None = None
 
     @property
@@ -389,67 +389,41 @@ class InSituCimAnnealer:
         value, stats = self.crossbar.compute_increment(
             sigma_r, sigma_c, v_bg, validate=False
         )
-        cfg = self.config
-        energy = (
-            stats.adc_conversions * cfg.adc.energy_per_conversion
-            + stats.sa_codes * cfg.shift_add.energy_per_code
-            + stats.fg_toggles * cfg.fg_driver.energy_per_toggle
-            + stats.dl_toggles * cfg.dl_driver.energy_per_toggle
-        )
-        time = stats.mux_slots * cfg.adc.time_per_conversion + stats.settle_time
-        bg_updates = 0
-        if self._last_vbg is None or abs(v_bg - self._last_vbg) > 1e-12:
-            bg_updates = 1
-            energy += cfg.bg_dac.energy_per_update
-            time += cfg.bg_dac.time_per_update
+        bg_update = self._last_vbg is None or abs(v_bg - self._last_vbg) > 1e-12
+        if bg_update:
             self._last_vbg = v_bg
-        self._pending = {
-            "adc_energy": stats.adc_conversions * cfg.adc.energy_per_conversion,
-            "adc_time": stats.mux_slots * cfg.adc.time_per_conversion,
-            "sa_energy": stats.sa_codes * cfg.shift_add.energy_per_code,
-            "driver_energy": stats.fg_toggles * cfg.fg_driver.energy_per_toggle
-            + stats.dl_toggles * cfg.dl_driver.energy_per_toggle,
-            "settle_time": stats.settle_time,
-            "bg_updates": bg_updates,
-            "conversions": stats.adc_conversions,
-            "total_energy": energy,
-            "total_time": time,
-        }
+        self._pending = (stats, bg_update)
         return value
 
     def _book_iteration(self, iteration, delta_e, accepted, temperature) -> None:
-        assert self._ledger is not None
+        assert self._ledger is not None and self._pending is not None
+        stats, bg_update = self._pending
         cfg = self.config
-        pend = self._pending or {
-            "adc_energy": 0.0,
-            "adc_time": 0.0,
-            "sa_energy": 0.0,
-            "driver_energy": 0.0,
-            "settle_time": 0.0,
-            "bg_updates": 0,
-            "conversions": 0,
-            "total_energy": 0.0,
-            "total_time": 0.0,
-        }
         ledger = self._ledger
-        ledger.add("adc", pend["adc_energy"], pend["adc_time"], pend["conversions"])
-        ledger.add("shift_add", pend["sa_energy"], 0.0)
-        ledger.add("drivers", pend["driver_energy"], pend["settle_time"])
-        if pend["bg_updates"]:
+        adc_energy = stats.adc_conversions * cfg.adc.energy_per_conversion
+        adc_time = stats.mux_slots * cfg.adc.time_per_conversion
+        sa_energy = stats.sa_codes * cfg.shift_add.energy_per_code
+        fg_energy = stats.fg_toggles * cfg.fg_driver.energy_per_toggle
+        dl_energy = stats.dl_toggles * cfg.dl_driver.energy_per_toggle
+        ledger.add("adc", adc_energy, adc_time, stats.adc_conversions)
+        ledger.add("shift_add", sa_energy, 0.0)
+        ledger.add("drivers", fg_energy + dl_energy, stats.settle_time)
+        if bg_update:
             ledger.add(
-                "bg_dac",
-                cfg.bg_dac.energy_per_update * pend["bg_updates"],
-                cfg.bg_dac.time_per_update * pend["bg_updates"],
-                pend["bg_updates"],
+                "bg_dac", cfg.bg_dac.energy_per_update, cfg.bg_dac.time_per_update
             )
         ledger.add("logic", cfg.logic_energy, cfg.logic_time)
         if self._iter_energy is not None:
-            total_e = pend["total_energy"] + cfg.logic_energy
-            total_t = pend["total_time"] + cfg.logic_time
+            # Same float association as the per-component books above.
+            energy = adc_energy + sa_energy + fg_energy + dl_energy
+            time = adc_time + stats.settle_time
+            if bg_update:
+                energy += cfg.bg_dac.energy_per_update
+                time += cfg.bg_dac.time_per_update
             prev_e = self._iter_energy[-1] if self._iter_energy else 0.0
             prev_t = self._iter_time[-1] if self._iter_time else 0.0
-            self._iter_energy.append(prev_e + total_e)
-            self._iter_time.append(prev_t + total_t)
+            self._iter_energy.append(prev_e + (energy + cfg.logic_energy))
+            self._iter_time.append(prev_t + (time + cfg.logic_time))
         self._pending = None
 
     # ------------------------------------------------------------------

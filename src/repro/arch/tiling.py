@@ -7,9 +7,9 @@ independent DG FeFET arrays:
 
 * ``J`` is split into ``⌈n/s⌉ × ⌈n/s⌉`` blocks of side ``s`` (the physical
   array rows), and a tile is programmed **only for blocks containing
-  nonzeros** — the tile registry is a sparse dict, not a dense ``grid²``
-  list.  A degree-6 graph with locality (banded / toroidal orderings) needs
-  a few hundred tiles where a dense grid would program tens of thousands;
+  nonzeros** — the grid is sparse, not a dense ``grid²`` list.  A
+  degree-6 graph with locality (banded / toroidal orderings) needs a few
+  hundred tiles where a dense grid would program tens of thousands;
 * the grid is built directly from :class:`~repro.ising.sparse.
   SparseIsingModel` CSR arrays via per-tile COO extraction
   (:meth:`~repro.ising.sparse.SparseIsingModel.block_partition`) — the full
@@ -17,10 +17,12 @@ independent DG FeFET arrays:
 * every tile quantizes against the *whole-matrix* LSB, so the assembled
   stored image is identical to a monolithic crossbar programming the same
   matrix;
-* an incremental evaluation activates only the (row-block, col-block) pairs
-  where a tile exists **and** the column slice is driven; all activated
-  tiles operate in parallel and their partial sums are combined digitally
-  (one extra adder-tree level);
+* the programmed tiles are one tensor: a ``(T, s, s)`` stack of stored
+  images ordered by (column block, row block), so the tiles a driven column
+  block activates are one contiguous range and are read together in a
+  fixed number of array operations — all activated tiles operate in
+  parallel and their partial sums are combined digitally (one extra
+  adder-tree level);
 * activity counters sum across tiles while the critical path takes the
   *maximum* slot count of any tile.
 
@@ -28,7 +30,9 @@ The interface mirrors :class:`~repro.circuits.crossbar.DgFefetCrossbar`
 (``matrix_hat``, ``factor``, ``compute_increment``, ``programming_summary``)
 so the in-situ machine can drive a tiled array transparently; consumers that
 must stay O(nnz) use :meth:`stored_model` instead of the dense
-``matrix_hat``.
+``matrix_hat``.  The monolithic crossbar stays the reference: a tiled read
+equals one such crossbar per block, read in (column block, row block)
+order and combined as above.
 """
 
 from __future__ import annotations
@@ -38,10 +42,14 @@ import numpy as np
 from repro.circuits.crossbar import (
     PROGRAM_PULSE_ENERGY,
     ActivationStats,
-    DgFefetCrossbar,
+    NominalCell,
+    check_drive,
+    device_read,
 )
+from repro.circuits.interconnect import WireModel
 from repro.circuits.quantize import MatrixQuantizer
-from repro.devices.constants import VBG_MAX
+from repro.circuits.shift_add import ShiftAddUnit
+from repro.devices.variability import VariationModel
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_count
@@ -64,13 +72,16 @@ class TiledCrossbar:
     Parameters
     ----------
     matrix:
-        Symmetric coupling matrix of any size — a dense square array or a
+        Coupling matrix of any size — a dense square array or a
         :class:`~repro.ising.sparse.SparseIsingModel` (CSR path; the dense
         matrix is never formed).
     tile_size:
         Physical array rows/columns per tile (the block side ``s``).
     bits / backend / wire / shift_add / variation / seed:
-        Forwarded to every tile.
+        The per-tile array parameters of
+        :class:`~repro.circuits.crossbar.DgFefetCrossbar`.  Programming
+        draws (``variation=`` threshold spread) are taken tile by tile in
+        row-major block order from the one generator ``seed`` names.
     """
 
     def __init__(
@@ -79,28 +90,24 @@ class TiledCrossbar:
         tile_size: int,
         bits: int = 4,
         backend: str = "behavioral",
-        wire=None,
-        shift_add=None,
-        variation=None,
+        wire: WireModel | None = None,
+        shift_add: ShiftAddUnit | None = None,
+        variation: VariationModel | None = None,
         seed=None,
     ) -> None:
         self.tile_size = check_count(
             "tile_size", tile_size, minimum=2,
             hint="a physical tile needs at least 2 rows",
         )
-        self.bits = int(bits)
-        rng = ensure_rng(seed)
+        if backend not in ("behavioral", "device"):
+            raise ValueError(f"unknown backend {backend!r}")
         quantizer = MatrixQuantizer(bits)
-
+        self.bits = quantizer.bits
         self.backend = backend
-        tile_kwargs = dict(
-            bits=bits,
-            backend=backend,
-            wire=wire,
-            shift_add=shift_add,
-            variation=variation,
-            require_symmetric=False,
-        )
+        self.wire = wire or WireModel()
+        self.shift_add = shift_add or ShiftAddUnit()
+        self.variation = variation or VariationModel()
+        self._rng = ensure_rng(seed)
         s = self.tile_size
         if isinstance(matrix, SparseIsingModel):
             self.n = matrix.num_spins
@@ -112,60 +119,137 @@ class TiledCrossbar:
             self.n = matrix.shape[0]
             self.lsb = quantizer.lsb_for(matrix)
         self.grid = -(-self.n // s)
-        self._bounds = self._block_bounds()
-        # Nonzero blocks in deterministic row-major order, so variation
-        # draws from the shared rng are reproducible for a fixed seed and
-        # identical between the sparse- and dense-input paths.
-        self._tiles: dict[tuple[int, int], DgFefetCrossbar] = {
-            key: DgFefetCrossbar(block, lsb=self.lsb, seed=rng, **tile_kwargs)
-            for key, block in self._iter_nonzero_blocks(matrix)
-        }
-
-        # Column-block → sorted row-blocks holding a tile: the activation
-        # index compute_increment walks.
-        self._col_rows: dict[int, list[int]] = {}
-        for bi, bj in sorted(self._tiles):
-            self._col_rows.setdefault(bj, []).append(bi)
-
-        # The factor curve is a nominal-cell property, identical across
-        # tiles; an all-zero matrix has no tile, so keep a 2×2 reference.
-        if self._tiles:
-            self._ref = next(iter(self._tiles.values()))
-        else:
-            self._ref = DgFefetCrossbar(
-                np.zeros((2, 2)), lsb=self.lsb, seed=rng, **tile_kwargs
-            )
+        # Every tile reads against the same nominal cell, rail and ADC.
+        self.nominal = NominalCell()
+        self.adc = self.nominal.default_adc(s)
+        self._program(matrix, quantizer)
         self._matrix_hat: np.ndarray | None = None
 
-    def _block_bounds(self) -> list[tuple[int, int]]:
-        return [
-            (i * self.tile_size, min((i + 1) * self.tile_size, self.n))
-            for i in range(self.grid)
-        ]
+    def _program(self, matrix, quantizer: MatrixQuantizer) -> None:
+        """Quantize every nonzero block into the stacked grid, in one pass."""
+        s = self.tile_size
+        keys, rows, cols, vals = [], [], [], []
+        for key, lr, lc, v in self._iter_nonzero_blocks(matrix):
+            keys.append(key)
+            rows.append(lr)
+            cols.append(lc)
+            vals.append(v)
+        count = len(keys)
+        blocks = np.array(keys, dtype=np.intp).reshape(count, 2)
+        # Stack order is (column block, row block): the tiles one driven
+        # column block activates form the range _col_ptr[bj]:_col_ptr[bj+1].
+        # `order[p]` is the row-major index of stack entry p, and
+        # `self._row_major` lists stack entries in row-major order.
+        order = np.lexsort((blocks[:, 0], blocks[:, 1]))
+        self._row_major = np.empty(count, dtype=np.intp)
+        self._row_major[order] = np.arange(count)
+        self._block_rows = blocks[order, 0]
+        self._block_cols = blocks[order, 1]
+        self._col_ptr = np.searchsorted(self._block_cols, np.arange(self.grid + 1))
+
+        # Element-wise quantization of the nonzeros only: the same integer
+        # levels (and hence the same image) as the monolithic quantizer.
+        sizes = [v.size for v in vals]
+        entry_tile = np.repeat(self._row_major, sizes)
+        values = np.concatenate(vals) if vals else np.zeros(0)
+        levels = np.minimum(
+            np.rint(np.abs(values) / self.lsb).astype(np.int64), quantizer.max_level
+        )
+        signed = np.where(values < 0, -levels, levels)
+        # Cell layout per tile is (column, row): _image[p, j, i] stores
+        # Ĵ[i, j] of tile p, so a driven drain line's cells are contiguous.
+        self._image = np.zeros((count, s, s))
+        if count:
+            self._image[entry_tile, np.concatenate(cols), np.concatenate(rows)] = (
+                self.lsb * signed
+            )
+        ones = sum((levels >> b) & 1 for b in range(self.bits))
+        tile_ones = np.bincount(entry_tile, weights=ones, minlength=count)
+        negative = np.bincount(entry_tile, weights=signed < 0, minlength=count) > 0
+        # Per-tile read geometry: sign planes, ADC columns per driven line
+        # and ADCs per tile (a tile's columns share mux_ratio-way ADCs).
+        self._planes = np.where(negative, 2, 1)
+        self._line_columns = self.bits * self._planes
+        self._num_adcs = np.maximum(1, s * self._line_columns // self.adc.mux_ratio)
+        self._settle = self.wire.settle_time(s)
+        self._row_pad = np.zeros(self.grid * s - self.n)
+        # FG/DL drive state per tile; parked lines are all zero.
+        self._fg = np.zeros((count, s), dtype=np.int8)
+        self._dl = np.zeros((count, s), dtype=np.int8)
+        self._summary = self._programming_cost(blocks, tile_ones[self._row_major])
+        self._draw_variation(order)
+
+    def _draw_variation(self, order: np.ndarray) -> None:
+        """Frozen per-cell spread, drawn tile by tile in row-major order."""
+        count, s = self._image.shape[0], self.tile_size
+        self._vth_offsets = self._weight_error = None
+        sigma = self.variation.vth_sigma
+        if sigma == 0.0 or count == 0:
+            return
+        if self.backend == "device":
+            offsets = self.variation.sample_vth_offsets(
+                (count, 2, self.bits, s, s), self._rng
+            )
+            self._vth_offsets = offsets[order]
+        else:
+            # Behavioural stand-in: a static relative weight error at
+            # mid-range V_BG, symmetric within each tile (so it reads the
+            # same in the stack's (column, row) cell layout).
+            eps = self._rng.normal(
+                0.0, self.nominal.relative_current_sigma(sigma), size=(count, s, s)
+            )
+            self._weight_error = ((eps + eps.transpose(0, 2, 1)) / 2.0)[order]
 
     def _iter_nonzero_blocks(self, matrix):
-        """Yield ``((bi, bj), padded_block)`` for every nonzero block.
+        """Yield ``((bi, bj), rows, cols, values)`` per nonzero block.
 
-        Sparse models come through :meth:`SparseIsingModel.block_partition`
-        (one O(nnz log nnz) pass, no dense matrix); dense arrays are
-        sliced block by block.  Either way the yielded block is the
-        ``s × s`` zero-padded array a physical tile programs.
+        Row-major block order, block-local coordinates.  Sparse models come
+        through :meth:`SparseIsingModel.block_partition` (one O(nnz log
+        nnz) pass, no dense matrix); dense arrays are sliced block by block.
         """
-        s = self.tile_size
         if isinstance(matrix, SparseIsingModel):
-            for key, (lr, lc, vals) in sorted(matrix.block_partition(s).items()):
-                block = np.zeros((s, s))
-                block[lr, lc] = vals
-                yield key, block
-        else:
-            for bi, (r0, r1) in enumerate(self._bounds):
-                for bj, (c0, c1) in enumerate(self._bounds):
-                    sub = matrix[r0:r1, c0:c1]
-                    if not np.any(sub):
-                        continue  # empty block: no tile is programmed
-                    block = np.zeros((s, s))
-                    block[: r1 - r0, : c1 - c0] = sub
-                    yield (bi, bj), block
+            for key, (lr, lc, vals) in sorted(
+                matrix.block_partition(self.tile_size).items()
+            ):
+                yield key, lr, lc, vals
+            return
+        for bi in range(self.grid):
+            r0, r1 = self._extent(bi)
+            for bj in range(self.grid):
+                c0, c1 = self._extent(bj)
+                sub = matrix[r0:r1, c0:c1]
+                lr, lc = np.nonzero(sub)
+                if lr.size:  # empty block: no tile is programmed
+                    yield (bi, bj), lr, lc, sub[lr, lc]
+
+    def _extent(self, block: int) -> tuple[int, int]:
+        """Global ``[start, stop)`` of block ``block`` (the last may be short)."""
+        start = int(block) * self.tile_size
+        return start, min(start + self.tile_size, self.n)
+
+    def _programming_cost(self, blocks: np.ndarray, tile_ones: np.ndarray) -> dict:
+        """Write cost over the logical cells of each tile.
+
+        ``blocks`` and ``tile_ones`` list the tiles in row-major order, the
+        order the float sums run in.
+        """
+        totals = {
+            "cells": 0.0,
+            "programmed_ones": 0.0,
+            "write_pulses": 0.0,
+            "energy": 0.0,
+        }
+        for (bi, bj), ones in zip(blocks.tolist(), tile_ones.tolist()):
+            r0, r1 = self._extent(bi)
+            c0, c1 = self._extent(bj)
+            cells = 2.0 * self.bits * (r1 - r0) * (c1 - c0)
+            totals["cells"] += cells
+            totals["programmed_ones"] += ones
+            totals["write_pulses"] += cells
+            totals["energy"] += cells * PROGRAM_PULSE_ENERGY
+        totals["tiles"] = float(self.num_tiles)
+        totals["grid_tiles"] = float(self.grid_tiles)
+        return totals
 
     # ------------------------------------------------------------------
     # Geometry
@@ -173,7 +257,7 @@ class TiledCrossbar:
     @property
     def num_tiles(self) -> int:
         """Instantiated (nonzero-block) tiles — at most ``grid²``."""
-        return len(self._tiles)
+        return self._image.shape[0]
 
     @property
     def grid_tiles(self) -> int:
@@ -188,13 +272,24 @@ class TiledCrossbar:
     @property
     def planes(self) -> int:
         """Sign planes in use across the grid (2 iff any tile stores one)."""
-        if any(tile.planes == 2 for tile in self._tiles.values()):
-            return 2
-        return 1
+        return int(self._planes.max(initial=1))
 
-    def tile_at(self, block_row: int, block_col: int) -> DgFefetCrossbar | None:
-        """The tile programmed at ``(block_row, block_col)``, if any."""
-        return self._tiles.get((block_row, block_col))
+    def tile_at(self, block_row: int, block_col: int) -> np.ndarray | None:
+        """Read-only view of the stored tile image at a block, if programmed."""
+        if not (0 <= block_row < self.grid and 0 <= block_col < self.grid):
+            return None
+        lo, hi = self._col_ptr[block_col], self._col_ptr[block_col + 1]
+        p = lo + int(np.searchsorted(self._block_rows[lo:hi], block_row))
+        if p == hi or self._block_rows[p] != block_row:
+            return None
+        view = self._image[p].T
+        view.flags.writeable = False
+        return view
+
+    def _tiles_row_major(self):
+        """``(stack index, (r0, r1), (c0, c1))`` of every tile, row-major."""
+        for p in self._row_major.tolist():
+            yield p, self._extent(self._block_rows[p]), self._extent(self._block_cols[p])
 
     @property
     def matrix_hat(self) -> np.ndarray:
@@ -205,10 +300,8 @@ class TiledCrossbar:
         """
         if self._matrix_hat is None:
             out = np.zeros((self.n, self.n))
-            for (bi, bj), tile in self._tiles.items():
-                r0, r1 = self._bounds[bi]
-                c0, c1 = self._bounds[bj]
-                out[r0:r1, c0:c1] = tile.matrix_hat[: r1 - r0, : c1 - c0]
+            for p, (r0, r1), (c0, c1) in self._tiles_row_major():
+                out[r0:r1, c0:c1] = self._image[p, : c1 - c0, : r1 - r0].T
             self._matrix_hat = out
         return self._matrix_hat
 
@@ -217,32 +310,20 @@ class TiledCrossbar:
     ) -> SparseIsingModel:
         """The stored image ``Ĵ`` as a :class:`SparseIsingModel`.
 
-        Collects each tile's dequantized nonzeros back into global COO
+        Collects the stack's dequantized nonzeros back into global COO
         coordinates — O(nnz + tiles · s²) work, never an ``(n, n)`` array.
         Quantization is element-wise on a symmetric matrix, so the image is
         symmetric and the canonical upper triangle is complete.
         """
-        rows = [np.zeros(0, dtype=np.intp)]
-        cols = [np.zeros(0, dtype=np.intp)]
-        vals = [np.zeros(0, dtype=np.float64)]
-        for (bi, bj), tile in sorted(self._tiles.items()):
-            if bi > bj:
-                continue  # lower triangle mirrors the upper one
-            r0, r1 = self._bounds[bi]
-            c0, c1 = self._bounds[bj]
-            hat = tile.matrix_hat[: r1 - r0, : c1 - c0]
-            lr, lc = np.nonzero(hat)
-            if bi == bj:
-                keep = lr <= lc
-                lr, lc = lr[keep], lc[keep]
-            rows.append(lr + r0)
-            cols.append(lc + c0)
-            vals.append(hat[lr, lc])
+        p, lc, lr = np.nonzero(self._image)
+        rows = self._block_rows[p] * self.tile_size + lr
+        cols = self._block_cols[p] * self.tile_size + lc
+        keep = rows <= cols  # the lower triangle mirrors the upper one
         return SparseIsingModel.from_edges(
             self.n,
-            np.concatenate(rows),
-            np.concatenate(cols),
-            np.concatenate(vals),
+            rows[keep],
+            cols[keep],
+            self._image[p[keep], lc[keep], lr[keep]],
             None,
             offset=offset,
             name=name,
@@ -250,7 +331,7 @@ class TiledCrossbar:
 
     def factor(self, v_bg: float) -> float:
         """Shared-rail factor (all tiles see the same back-gate voltage)."""
-        return self._ref.factor(v_bg)
+        return self.nominal.factor(v_bg)
 
     def reset_drive_state(self) -> None:
         """Park every tile's FG/DL lines (fresh-run toggle accounting).
@@ -259,9 +340,8 @@ class TiledCrossbar:
         grid so repeat anneals on one programmed plan bill their first
         activation like a cold machine.
         """
-        for tile in self._tiles.values():
-            tile.reset_drive_state()
-        self._ref.reset_drive_state()
+        self._fg[:] = 0
+        self._dl[:] = 0
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -274,66 +354,100 @@ class TiledCrossbar:
         Only (row-block, col-block) pairs whose tile exists *and* whose
         column slice is driven are activated — for a single-flip proposal
         on a sparse matrix that is the flipped spin's column block times
-        the few row blocks holding its neighbours.
+        the few row blocks holding its neighbours.  Each driven column
+        block's tiles are read together: one gather of the driven columns,
+        one batched partial sum per tile, and vectorised activity counts.
 
         In the behavioral backend the partial sums are combined digitally
-        and the shared-rail factor is applied *once* to the combined value
-        (tiles are read at ``V_BG^{max}``, where the factor is exactly 1) —
-        the same evaluation order as a monolithic array, so behavioral
-        tiled and monolithic values agree bit for bit.  The device backend
-        keeps the factor inside every tile's analog read, as the physical
-        rail does.
+        in (column block, row block) order and the shared-rail factor is
+        applied *once* to the combined value (tiles are read at
+        ``V_BG^{max}``, where the factor is exactly 1) — the same
+        evaluation order as a monolithic array, so behavioral tiled and
+        monolithic values agree bit for bit on dyadic images.  The device
+        backend keeps the factor inside every tile's analog read, as the
+        physical rail does.
         """
         r = np.asarray(sigma_r, dtype=np.float64)
         c = np.asarray(sigma_c, dtype=np.float64)
-        if validate and (r.shape != (self.n,) or c.shape != (self.n,)):
-            raise ValueError(f"input vectors must have shape ({self.n},)")
-        driven = np.flatnonzero(c)
-        total = 0.0
-        phases = 0
-        conversions = sa_codes = fg_toggles = dl_toggles = active_cells = 0
-        max_slots = 0
-        max_settle = 0.0
+        if validate:
+            check_drive(r, c, v_bg, self.n)
+        driven = (c != 0.0).nonzero()[0]
         if driven.size == 0:
-            return total, _ZERO_STATS
-        behavioral = self.backend == "behavioral"
-        tile_vbg = VBG_MAX if behavioral else v_bg
-        pad = self.tile_size
-        for bj in np.unique(driven // pad):
-            row_blocks = self._col_rows.get(int(bj))
-            if row_blocks is None:
+            return 0.0, _ZERO_STATS
+        s = self.tile_size
+        row_blocks = np.concatenate((r, self._row_pad)).reshape(self.grid, s)
+        total = 0.0
+        phases = conversions = slots = cells = fg_toggles = dl_toggles = 0
+        for bj, cols in self._column_groups(driven):
+            lo, hi = self._col_ptr[bj], self._col_ptr[bj + 1]
+            if lo == hi:
                 continue  # the whole column block is structurally zero
-            c0, c1 = self._bounds[bj]
-            c_slice = np.zeros(pad)
-            c_slice[: c1 - c0] = c[c0:c1]
-            for bi in row_blocks:
-                r0, r1 = self._bounds[bi]
-                r_slice = np.zeros(pad)
-                r_slice[: r1 - r0] = r[r0:r1]
-                value, stats = self._tiles[(bi, bj)].compute_increment(
-                    r_slice, c_slice, tile_vbg, validate=validate
-                )
+            local = cols - bj * s
+            drive = c[cols]
+            r_tiles = row_blocks[self._block_rows[lo:hi]]
+            for value in self._read(lo, hi, r_tiles, local, drive, v_bg).tolist():
                 total += value
-                phases = max(phases, stats.phases)
-                conversions += stats.adc_conversions
-                sa_codes += stats.sa_codes
-                fg_toggles += stats.fg_toggles
-                dl_toggles += stats.dl_toggles
-                active_cells += stats.active_cells
-                max_slots = max(max_slots, stats.mux_slots)
-                max_settle = max(max_settle, stats.settle_time)
-        if behavioral:
+
+            # Activity counters of every tile read, as DgFefetCrossbar
+            # books them per activation: one phase per row sign present
+            # (at least one), ADC columns per driven line, and mux slots
+            # over the tile's own ADCs.
+            fg_now = r_tiles.astype(np.int8)
+            tile_phases = 1 + ((fg_now == 1).any(axis=1) & (fg_now == -1).any(axis=1))
+            columns = local.size * self._line_columns[lo:hi]
+            phases = max(phases, int(tile_phases.max()))
+            conversions += int(tile_phases @ columns)
+            slots = max(slots, int((tile_phases * -(-columns // self._num_adcs[lo:hi])).max()))
+            cells += int((fg_now != 0).sum(axis=1) @ columns)
+            dl_now = np.zeros(s, dtype=np.int8)
+            dl_now[local] = drive
+            fg_toggles += int(np.count_nonzero(fg_now != self._fg[lo:hi]))
+            dl_toggles += int(np.count_nonzero(dl_now != self._dl[lo:hi]))
+            self._fg[lo:hi] = fg_now
+            self._dl[lo:hi] = dl_now
+        if self.backend == "behavioral":
             total *= self.factor(v_bg)
         return total, ActivationStats(
             phases=phases,
             adc_conversions=conversions,
-            mux_slots=max_slots,
-            sa_codes=sa_codes,
+            mux_slots=slots,
+            sa_codes=conversions,
             fg_toggles=fg_toggles,
             dl_toggles=dl_toggles,
-            active_cells=active_cells,
-            settle_time=max_settle,
+            active_cells=cells,
+            settle_time=phases * self._settle,
         )
+
+    def _column_groups(self, driven: np.ndarray):
+        """Yield ``(column block, driven columns)`` in ascending block order."""
+        blocks = (driven // self.tile_size).tolist()
+        start = 0
+        for end in range(1, len(blocks) + 1):
+            if end == len(blocks) or blocks[end] != blocks[start]:
+                yield blocks[start], driven[start:end]
+                start = end
+
+    def _read(self, lo, hi, r_tiles, local, drive, v_bg) -> np.ndarray:
+        """Sensed partial sums of stack tiles ``lo:hi`` on columns ``local``."""
+        if self.backend == "device":
+            offsets = self._vth_offsets
+            return np.array([
+                device_read(
+                    self.nominal, self._image[p, local].T, r_tile, drive, v_bg,
+                    lsb=self.lsb, bits=self.bits,
+                    negative_plane=bool(self._planes[p] == 2),
+                    vth_offsets=None if offsets is None else offsets[p][..., local],
+                    variation=self.variation, wire=self.wire, adc=self.adc,
+                    rng=self._rng,
+                )
+                for p, r_tile in zip(range(lo, hi), r_tiles)
+            ])
+        image = self._image[lo:hi, local]
+        if self._weight_error is not None:
+            image = image * (1.0 + self._weight_error[lo:hi, local])
+        values = np.einsum("ks,ks->k", r_tiles, drive @ image)
+        # One read-noise draw per tile, in read order.
+        return self.variation.apply_read_noise(values, self._rng)
 
     def matvec(self, x, validate: bool = True) -> np.ndarray:
         """Digitally-combined behavioral MVM ``Ĵ x`` over the tile grid.
@@ -341,23 +455,21 @@ class TiledCrossbar:
         Every programmed tile evaluates its block's partial product
         ``Ĵ[r0:r1, c0:c1] · x[c0:c1]`` in parallel (read at
         ``V_BG^{max}``, where the shared-rail factor is exactly 1) and the
-        partial sums are combined digitally per output row — the extra
-        adder-tree level of the sharded array.  O(tiles · s²) work, no
-        dense ``(n, n)`` assembly.  For dyadic stored images and ±1
-        drives every partial sum is exact, so the result is bit-identical
-        to :meth:`stored_model`'s CSR SpMV — which is what lets the
-        simulated-bifurcation engines run on the tiled machine without a
-        separate golden.  The input is not restricted to spins: bSB
-        drives the array with continuous DAC levels.
+        partial sums are combined digitally per output row in row-major
+        tile order — the extra adder-tree level of the sharded array.
+        O(tiles · s²) work, no dense ``(n, n)`` assembly.  For dyadic
+        stored images and ±1 drives every partial sum is exact, so the
+        result is bit-identical to :meth:`stored_model`'s CSR SpMV — which
+        is what lets the simulated-bifurcation engines run on the tiled
+        machine without a separate golden.  The input is not restricted to
+        spins: bSB drives the array with continuous DAC levels.
         """
         v = np.asarray(x, dtype=np.float64)
         if validate and v.shape != (self.n,):
             raise ValueError(f"input vector must have shape ({self.n},)")
         out = np.zeros(self.n)
-        for (bi, bj), tile in self._tiles.items():
-            r0, r1 = self._bounds[bi]
-            c0, c1 = self._bounds[bj]
-            out[r0:r1] += tile.matrix_hat[: r1 - r0, : c1 - c0] @ v[c0:c1]
+        for p, (r0, r1), (c0, c1) in self._tiles_row_major():
+            out[r0:r1] += self._image[p, : c1 - c0, : r1 - r0].T @ v[c0:c1]
         return out
 
     def batch_matvec(self, x, validate: bool = True) -> np.ndarray:
@@ -375,11 +487,8 @@ class TiledCrossbar:
         if validate and (v.ndim != 2 or v.shape[1] != self.n):
             raise ValueError(f"input batch must have shape (R, {self.n})")
         out = np.zeros(v.shape)
-        for (bi, bj), tile in self._tiles.items():
-            r0, r1 = self._bounds[bi]
-            c0, c1 = self._bounds[bj]
-            block = tile.matrix_hat[: r1 - r0, : c1 - c0]
-            out[:, r0:r1] += v[:, c0:c1] @ block.T
+        for p, (r0, r1), (c0, c1) in self._tiles_row_major():
+            out[:, r0:r1] += v[:, c0:c1] @ self._image[p, : c1 - c0, : r1 - r0]
         return out
 
     # ------------------------------------------------------------------
@@ -394,20 +503,4 @@ class TiledCrossbar:
         inflates the totals.  ``tiles`` / ``grid_tiles`` report the sharded
         geometry alongside the cost.
         """
-        totals = {
-            "cells": 0.0,
-            "programmed_ones": 0.0,
-            "write_pulses": 0.0,
-            "energy": 0.0,
-        }
-        for (bi, bj), tile in self._tiles.items():
-            r0, r1 = self._bounds[bi]
-            c0, c1 = self._bounds[bj]
-            cells = 2.0 * self.bits * (r1 - r0) * (c1 - c0)
-            totals["cells"] += cells
-            totals["programmed_ones"] += float(tile.quantized.cell_count())
-            totals["write_pulses"] += cells
-            totals["energy"] += cells * PROGRAM_PULSE_ENERGY
-        totals["tiles"] = float(self.num_tiles)
-        totals["grid_tiles"] = float(self.grid_tiles)
-        return totals
+        return dict(self._summary)

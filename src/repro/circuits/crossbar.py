@@ -86,6 +86,138 @@ class ActivationStats:
     settle_time: float
 
 
+def check_drive(r: np.ndarray, c: np.ndarray, v_bg: float, n: int) -> None:
+    """Validate one array activation's ``σ_r``/``σ_c`` drive and rail level."""
+    if r.shape != (n,) or c.shape != (n,):
+        raise ValueError(f"input vectors must have shape ({n},)")
+    if not np.all(np.isin(r, (-1.0, 0.0, 1.0))) or not np.all(
+        np.isin(c, (-1.0, 0.0, 1.0))
+    ):
+        raise ValueError("inputs must take values in {-1, 0, +1}")
+    check_in_range("v_bg", v_bg, VBG_MIN - 1e-9, VBG_MAX + 1e-9)
+
+
+class NominalCell:
+    """The calibrated '1'/'0' cell pair every array of a machine reads against.
+
+    Holds the two programmed threshold voltages, the back-gate coupling
+    and the unit current of a '1' cell at ``V_BG^{max}`` — the quantities
+    that turn sensed amperes back into cell counts and define the rail's
+    normalised transfer curve.  Shared by the monolithic crossbar and every
+    tile of a :class:`~repro.arch.tiling.TiledCrossbar`.
+
+    Parameters
+    ----------
+    cell:
+        Template DG FeFET; defaults to the standard calibrated cell.
+    """
+
+    def __init__(self, cell: DGFeFET | None = None) -> None:
+        # Program once as '1' and once as '0' to obtain the two stored
+        # threshold voltages.
+        self.cell = cell or DGFeFET()
+        self.cell.program_bit(1)
+        self.vth_on = self.cell.vth
+        self.cell.program_bit(0)
+        self.vth_off = self.cell.vth
+        self.cell.program_bit(1)
+        self.gamma = self.cell.bg_coupling
+        self.transistor = self.cell.transistor
+        # Reference '1'-cell current at the top of the BG range: the unit
+        # that converts sensed amperes back into cell counts.
+        self.unit_max = float(
+            self.transistor.drain_current(
+                DEFAULT_READ_VFG, DEFAULT_READ_VDL,
+                self.vth_on - self.gamma * VBG_MAX,
+            )
+        )
+        self._factor_cache: dict[float, float] = {}
+
+    def factor(self, v_bg: float) -> float:
+        """Normalised '1'-cell current at ``v_bg`` — the physical ``f``.
+
+        This is the quantity Fig 6c matches against the analytic fractional
+        factor; both backends use it so their results agree in expectation.
+        Values are memoised per 10 µV so the annealing loop pays the device
+        evaluation only once per distinct rail level.
+        """
+        key = round(float(v_bg), 5)
+        cached = self._factor_cache.get(key)
+        if cached is not None:
+            return cached
+        check_in_range("v_bg", v_bg, VBG_MIN - 1e-9, VBG_MAX + 1e-9)
+        i = float(
+            self.transistor.drain_current(
+                DEFAULT_READ_VFG,
+                DEFAULT_READ_VDL,
+                self.vth_on - self.gamma * float(v_bg),
+            )
+        )
+        value = i / self.unit_max
+        self._factor_cache[key] = value
+        return value
+
+    def relative_current_sigma(self, vth_sigma: float) -> float:
+        """First-order relative current spread caused by ``vth_sigma``."""
+        phi = self.transistor.thermal_voltage * self.transistor.ideality
+        return min(vth_sigma / phi * 0.5, 1.0)
+
+    def default_adc(self, rows: int) -> SarAdc:
+        """ADC whose full scale is the worst-case column sum of ``rows``."""
+        return SarAdc(full_scale=self.unit_max * max(rows, 8))
+
+
+def device_read(
+    nominal: NominalCell, image, r: np.ndarray, col_sign: np.ndarray, v_bg: float,
+    *, lsb: float, bits: int, negative_plane: bool, vth_offsets,
+    variation: VariationModel, wire: WireModel, adc: SarAdc, rng,
+) -> float:
+    """Sense ``σ_rᵀ Ĵ σ_c`` cell by cell through the compact device model.
+
+    ``image`` holds the stored-image columns of the driven lines (one row
+    per array row) and ``col_sign`` their drive signs; the bit planes are
+    read back from the image on the magnitude grid ``lsb``.  Row signs
+    are sensed in separate phases, every (plane, bit) column current goes
+    through read noise, IR drop and the ADC, and the shift-and-add stage
+    folds the codes back into coupling units.  ``vth_offsets`` (frozen
+    per-cell threshold spread, shape ``(2, bits, rows, columns)``) may be
+    ``None``; ``negative_plane`` says whether the array programs a
+    negative sign plane at all (read even where the driven columns hold
+    no negative entry — its cells still leak).
+    """
+    rows = image.shape[0]
+    levels = np.rint(np.abs(image) / lsb).astype(np.int64)
+    planes = ((0, +1.0, image > 0), (1, -1.0, image < 0))
+    total = 0.0
+    for row_sign in (+1.0, -1.0):
+        rows_on = r == row_sign
+        if not rows_on.any():
+            continue
+        v_gs = np.where(rows_on, DEFAULT_READ_VFG, 0.0)[:, np.newaxis]
+        phase_value = 0.0
+        for plane_idx, plane_sign, signed in planes:
+            if plane_sign < 0 and not negative_plane:
+                continue
+            counts_cols = np.zeros(image.shape[1], dtype=np.float64)
+            for b in range(bits):
+                cells = signed & (((levels >> b) & 1) == 1)
+                vth = np.where(cells, nominal.vth_on, nominal.vth_off)
+                if vth_offsets is not None:
+                    vth = vth + vth_offsets[plane_idx, b]
+                vth_eff = vth - nominal.gamma * float(v_bg)
+                currents = nominal.transistor.drain_current(
+                    v_gs, DEFAULT_READ_VDL, vth_eff
+                )
+                column_current = currents.sum(axis=0)
+                column_current = variation.apply_read_noise(column_current, rng)
+                column_current = wire.attenuation(column_current, rows)
+                sensed = adc.quantize(column_current)
+                counts_cols += (2.0**b) * sensed / nominal.unit_max
+            phase_value += plane_sign * float((counts_cols * col_sign).sum())
+        total += row_sign * phase_value
+    return total * lsb
+
+
 class DgFefetCrossbar:
     """A programmed DG FeFET crossbar with peripheral sensing.
 
@@ -151,31 +283,12 @@ class DgFefetCrossbar:
         self.variation = variation or VariationModel()
         self._rng = ensure_rng(seed)
 
-        # Nominal cell: program once as '1' and once as '0' to obtain the
-        # two stored threshold voltages.
-        self.cell = cell or DGFeFET()
-        self.cell.program_bit(1)
-        self._vth_on = self.cell.vth
-        self.cell.program_bit(0)
-        self._vth_off = self.cell.vth
-        self.cell.program_bit(1)
-        self._gamma = self.cell.bg_coupling
-        self._transistor = self.cell.transistor
-
-        # Reference '1'-cell current at the top of the BG range: the unit
-        # that converts sensed amperes back into cell counts.
-        self._unit_max = float(
-            self._transistor.drain_current(
-                DEFAULT_READ_VFG, DEFAULT_READ_VDL, self._vth_on - self._gamma * VBG_MAX
-            )
-        )
-        if adc is None:
-            # Size the full scale to the worst-case column sum (all rows
-            # conducting); the 13-bit resolution of the [36] SAR keeps the
-            # LSB fine enough for single-flip increments.
-            full_scale = self._unit_max * max(self.n, 8)
-            adc = SarAdc(full_scale=full_scale)
-        self.adc = adc
+        self.nominal = NominalCell(cell)
+        self.cell = self.nominal.cell
+        # Size the full scale to the worst-case column sum (all rows
+        # conducting); the 13-bit resolution of the [36] SAR keeps the LSB
+        # fine enough for single-flip increments.
+        self.adc = adc if adc is not None else self.nominal.default_adc(self.n)
 
         self._has_neg = bool(self.quantized.negative_planes.any())
         self._planes_used = 2 if self._has_neg else 1
@@ -188,7 +301,9 @@ class DgFefetCrossbar:
             # Behavioural stand-in for frozen threshold spread: a static
             # per-element relative weight error evaluated at mid-range V_BG.
             if self.variation.vth_sigma > 0.0:
-                mid_factor = self._relative_current_sigma()
+                mid_factor = self.nominal.relative_current_sigma(
+                    self.variation.vth_sigma
+                )
                 eps = self._rng.normal(0.0, mid_factor, size=self.matrix_hat.shape)
                 eps = (eps + eps.T) / 2.0  # keep the stored image symmetric
                 self._weight_error = eps
@@ -198,44 +313,15 @@ class DgFefetCrossbar:
         # Driver-state memory for toggle accounting.
         self._last_fg: np.ndarray | None = None
         self._last_dl: np.ndarray | None = None
-        self._factor_cache: dict[float, float] = {}
 
     @property
     def planes(self) -> int:
         """Sign planes in use: 2 when a negative plane exists, else 1."""
         return self._planes_used
 
-    # ------------------------------------------------------------------
-    # Factor curve (normalised nominal-cell current)
-    # ------------------------------------------------------------------
     def factor(self, v_bg: float) -> float:
-        """Normalised '1'-cell current at ``v_bg`` — the physical ``f``.
-
-        This is the quantity Fig 6c matches against the analytic fractional
-        factor; both backends use it so their results agree in expectation.
-        Values are memoised per 10 µV so the annealing loop pays the device
-        evaluation only once per distinct rail level.
-        """
-        key = round(float(v_bg), 5)
-        cached = self._factor_cache.get(key)
-        if cached is not None:
-            return cached
-        check_in_range("v_bg", v_bg, VBG_MIN - 1e-9, VBG_MAX + 1e-9)
-        i = float(
-            self._transistor.drain_current(
-                DEFAULT_READ_VFG,
-                DEFAULT_READ_VDL,
-                self._vth_on - self._gamma * float(v_bg),
-            )
-        )
-        value = i / self._unit_max
-        self._factor_cache[key] = value
-        return value
-
-    def _relative_current_sigma(self) -> float:
-        """First-order relative current spread caused by ``vth_sigma``."""
-        phi = self._transistor.thermal_voltage * self._transistor.ideality
-        return min(self.variation.vth_sigma / phi * 0.5, 1.0)
+        """Normalised '1'-cell current at ``v_bg`` (:meth:`NominalCell.factor`)."""
+        return self.nominal.factor(v_bg)
 
     # ------------------------------------------------------------------
     # Evaluations
@@ -254,13 +340,7 @@ class DgFefetCrossbar:
         r = np.asarray(sigma_r, dtype=np.float64)
         c = np.asarray(sigma_c, dtype=np.float64)
         if validate:
-            if r.shape != (self.n,) or c.shape != (self.n,):
-                raise ValueError(f"input vectors must have shape ({self.n},)")
-            if not np.all(np.isin(r, (-1.0, 0.0, 1.0))) or not np.all(
-                np.isin(c, (-1.0, 0.0, 1.0))
-            ):
-                raise ValueError("inputs must take values in {-1, 0, +1}")
-            check_in_range("v_bg", v_bg, VBG_MIN - 1e-9, VBG_MAX + 1e-9)
+            check_drive(r, c, v_bg, self.n)
 
         if self.backend == "behavioral":
             value = self._behavioral_value(r, c, v_bg)
@@ -302,41 +382,14 @@ class DgFefetCrossbar:
         active_cols = np.flatnonzero(c)
         if active_cols.size == 0:
             return 0.0
-        col_sign = c[active_cols]
-        v_fg_on = DEFAULT_READ_VFG
-        v_dl_on = DEFAULT_READ_VDL
-        total = 0.0
-        planes = (
-            (0, +1.0, self.quantized.positive_planes),
-            (1, -1.0, self.quantized.negative_planes),
+        return device_read(
+            self.nominal, self.matrix_hat[:, active_cols], r, c[active_cols],
+            v_bg, lsb=self.quantized.lsb, bits=self.bits,
+            negative_plane=self._has_neg,
+            vth_offsets=self._vth_offsets[..., active_cols],
+            variation=self.variation, wire=self.wire, adc=self.adc,
+            rng=self._rng,
         )
-        for row_sign in (+1.0, -1.0):
-            rows_on = r == row_sign
-            if not rows_on.any():
-                continue
-            v_gs = np.where(rows_on, v_fg_on, 0.0)[:, np.newaxis]
-            phase_value = 0.0
-            for plane_idx, plane_sign, plane_bits in planes:
-                if plane_sign < 0 and not self._has_neg:
-                    continue
-                counts_cols = np.zeros(active_cols.size, dtype=np.float64)
-                for b in range(self.bits):
-                    bits = plane_bits[b][:, active_cols]
-                    vth = np.where(bits, self._vth_on, self._vth_off)
-                    if self._vth_offsets is not None:
-                        vth = vth + self._vth_offsets[plane_idx, b][:, active_cols]
-                    vth_eff = vth - self._gamma * float(v_bg)
-                    currents = self._transistor.drain_current(v_gs, v_dl_on, vth_eff)
-                    column_current = currents.sum(axis=0)
-                    column_current = self.variation.apply_read_noise(
-                        column_current, self._rng
-                    )
-                    column_current = self.wire.attenuation(column_current, self.n)
-                    sensed = self.adc.quantize(column_current)
-                    counts_cols += (2.0**b) * sensed / self._unit_max
-                phase_value += plane_sign * float((counts_cols * col_sign).sum())
-            total += row_sign * phase_value
-        return total * self.quantized.lsb
 
     # ------------------------------------------------------------------
     # Activity accounting

@@ -173,23 +173,36 @@ class VbgEncoder:
             self._transfer_values = np.array([float(transfer(v)) for v in self.levels])
         if np.any(np.diff(self._transfer_values) < -1e-6):
             raise ValueError("transfer curve must be non-decreasing in V_BG")
+        self._memo: tuple[float, int] = (float("nan"), 0)
 
     @property
     def num_levels(self) -> int:
         """Number of grid levels (71 for the paper's range)."""
         return self.levels.size
 
+    def _level_index(self, temperature: float) -> int:
+        """Grid index realising ``f(T)``, memoised for the last temperature.
+
+        The annealing loop asks for the factor and the rail level of the
+        same temperature every iteration, and schedules hold a temperature
+        for many iterations, so a one-entry memo removes the repeated
+        ``argmin`` without growing with the run.
+        """
+        temperature = float(temperature)
+        memo_temperature, idx = self._memo
+        if temperature != memo_temperature:
+            target = float(self.factor.value(np.asarray(temperature)))
+            idx = int(np.argmin(np.abs(self._transfer_values - target)))
+            self._memo = (temperature, idx)
+        return idx
+
     def encode(self, temperature: float) -> float:
         """Grid ``V_BG`` whose transfer value best matches ``f(T)``."""
-        target = float(self.factor.value(np.asarray(float(temperature))))
-        idx = int(np.argmin(np.abs(self._transfer_values - target)))
-        return float(self.levels[idx])
+        return float(self.levels[self._level_index(temperature)])
 
     def realized_factor(self, temperature: float) -> float:
         """The factor value actually produced at the encoded level."""
-        target = float(self.factor.value(np.asarray(float(temperature))))
-        idx = int(np.argmin(np.abs(self._transfer_values - target)))
-        return float(self._transfer_values[idx])
+        return float(self._transfer_values[self._level_index(temperature)])
 
     def encoding_error(self, temperatures) -> np.ndarray:
         """|realised − requested| factor error over a temperature grid."""

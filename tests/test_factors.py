@@ -134,6 +134,17 @@ class TestVbgEncoder:
         assert enc.encode(0.0) == pytest.approx(0.0)
         assert enc.encode(f.t_max) == pytest.approx(VBG_MAX)
 
+    def test_memoised_lookup_matches_fresh_argmin(self):
+        """Repeated and alternating temperatures read the right grid level."""
+        f = FractionalFactor()
+        enc = VbgEncoder(f)
+        temps = [0.0, 300.0, 300.0, f.t_max, 300.0, 12.5, 12.5, 0.0, np.float64(300.0)]
+        for t in temps:
+            target = float(f.value(np.asarray(float(t))))
+            idx = int(np.argmin(np.abs(enc._transfer_values - target)))
+            assert enc.encode(t) == float(enc.levels[idx])
+            assert enc.realized_factor(t) == float(enc._transfer_values[idx])
+
     def test_rejects_decreasing_transfer(self):
         f = FractionalFactor()
         with pytest.raises(ValueError):

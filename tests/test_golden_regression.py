@@ -118,6 +118,61 @@ class TestTiledMachineGoldens:
         assert mono.anneal.best_energy == energy
         assert mono.anneal.accepted == accepted
 
+    #: tile_size -> ({component: (energy, time, count)}, (cumulative energy,
+    #: cumulative time) at the last iteration) of the golden tiled machine
+    #: run with ``record_cost_trace=True``.  Every float is the exact value
+    #: of the per-iteration booking order (component adds, cost-trace
+    #: prefix sums, the programming pass's tile order), so a refactor of the
+    #: tile read or of the machine's booking that reorders a float sum
+    #: changes these even when the trajectory is untouched.
+    GOLDEN_TILED_LEDGER = {
+        16: (
+            {
+                "program": (2.879999999999999e-10, 0.0, 28800),
+                "adc": (2.5600000000001023e-08, 8.000000000000152e-05, 102400),
+                "shift_add": (5.119999999999996e-10, 0.0, 1600),
+                "drivers": (4.997999999999878e-10, 6.22591999999992e-11, 1600),
+                "bg_dac": (5.900000000000008e-11, 1.1800000000000012e-07, 59),
+                "logic": (3.3599999999998875e-09, 1.6000000000000385e-06, 1600),
+            },
+            (3.003079999999933e-08, 8.17180622592015e-05),
+        ),
+        25: (
+            {
+                "program": (2.88e-10, 0.0, 28800),
+                "adc": (1.9200000000000466e-08, 8.000000000000152e-05, 76800),
+                "shift_add": (3.8399999999999056e-10, 0.0, 1600),
+                "drivers": (3.9743999999999005e-10, 1.5199999999999622e-10, 1600),
+                "bg_dac": (5.900000000000008e-11, 1.1800000000000012e-07, 59),
+                "logic": (3.3599999999998875e-09, 1.6000000000000385e-06, 1600),
+            },
+            (2.340043999999971e-08, 8.17181519999973e-05),
+        ),
+    }
+
+    @pytest.mark.parametrize("tile_size", sorted(GOLDEN_TILED_LEDGER))
+    def test_pinned_tiled_machine_ledger(self, golden_problem, tile_size):
+        from repro.arch import InSituCimAnnealer
+
+        entries, (energy_end, time_end) = self.GOLDEN_TILED_LEDGER[tile_size]
+        result = InSituCimAnnealer(
+            golden_problem.to_ising(backend="sparse"),
+            tile_size=tile_size,
+            seed=2024,
+            record_cost_trace=True,
+        ).run(1600)
+        cut, energy, accepted = self.GOLDEN_TILED
+        assert result.anneal.best_energy == energy
+        assert result.anneal.accepted == accepted
+        booked = {
+            name: (entry.energy, entry.time, entry.count)
+            for name, entry in result.ledger.entries.items()
+        }
+        assert booked == entries
+        assert len(result.energy_trace) == len(result.time_trace) == 1600
+        assert float(result.energy_trace[-1]) == energy_end
+        assert float(result.time_trace[-1]) == time_end
+
     #: tile_size -> (winning strategy, active tiles) of the ``auto``
     #: scorer on the golden instance.  ``auto`` now races RCM against the
     #: multilevel min-cut partition by exact active-tile count; both

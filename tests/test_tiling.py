@@ -16,7 +16,11 @@ from hypothesis import strategies as st
 
 from repro.arch import CrossbarMapping, InSituCimAnnealer, TiledCrossbar
 from repro.circuits import DgFefetCrossbar
+from repro.circuits.crossbar import ActivationStats
+from repro.circuits.quantize import MatrixQuantizer
 from repro.core import graph_bandwidth, solve_ising, solve_maxcut
+from repro.devices.constants import VBG_MAX
+from repro.devices.variability import VariationModel
 from repro.ising import IsingModel, MaxCutProblem, SparseIsingModel
 from repro.utils.rng import ensure_rng
 
@@ -96,12 +100,37 @@ class TestTileRegistry:
         tiled = TiledCrossbar(model, tile_size=16, seed=0)
         occupied = set(model.block_partition(16))
         # registry is exactly the nonzero block set
+        hat = tiled.matrix_hat
         for bi in range(tiled.grid):
             for bj in range(tiled.grid):
                 tile = tiled.tile_at(bi, bj)
                 assert (tile is not None) == ((bi, bj) in occupied)
+                if tile is None:
+                    continue
+                # A read-only, zero-padded view of the stored tile image.
+                block = hat[bi * 16:(bi + 1) * 16, bj * 16:(bj + 1) * 16]
+                assert tile.shape == (16, 16)
+                assert np.array_equal(tile[: block.shape[0], : block.shape[1]], block)
+                assert not tile[block.shape[0]:].any()
+                assert not tile.flags.writeable
+        assert tiled.tile_at(-1, 0) is None and tiled.tile_at(0, tiled.grid) is None
         assert tiled.num_tiles == len(occupied) < tiled.grid_tiles
         assert 0.0 < tiled.occupancy < 1.0
+
+    def test_grid_builds_no_per_tile_crossbar(self, monkeypatch):
+        """Programming and reading the grid never instantiates a crossbar."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("TiledCrossbar built a DgFefetCrossbar")
+
+        monkeypatch.setattr(DgFefetCrossbar, "__init__", refuse)
+        model = block_sparse_model(7)
+        for backend in ("behavioral", "device"):
+            tiled = TiledCrossbar(model, tile_size=16, backend=backend, seed=0)
+            c = np.zeros(model.num_spins)
+            c[:3] = -1.0
+            tiled.compute_increment(np.ones(model.num_spins), c, 0.5)
+            tiled.reset_drive_state()
+            tiled.programming_summary()
 
     def test_dense_input_also_skips_empty_blocks(self):
         model = block_sparse_model(11)
@@ -200,6 +229,205 @@ class TestIncrementEquivalence:
         mono_value, _ = DgFefetCrossbar(J, seed=0).compute_increment(r, c, 0.6)
         assert value == mono_value == 0.0
         assert stats.adc_conversions == 0  # no tile was activated
+
+
+class BlockOracle:
+    """Reference tiled read: one monolithic crossbar per nonzero block.
+
+    Blocks are programmed in row-major order from one shared generator,
+    read in (column block, row block) order, their values summed
+    digitally and their activity counters combined (sums, with the
+    critical path taking maxima) — the per-tile composition the stacked
+    :class:`TiledCrossbar` must reproduce.  Behavioral tiles are read at
+    ``V_BG^{max}`` and the rail factor applied once to the sum; device
+    tiles read at the rail level itself.
+    """
+
+    def __init__(self, J, tile, backend="behavioral", variation=None, seed=0):
+        rng = ensure_rng(seed)
+        self.n = J.shape[0]
+        self.tile = tile
+        self.grid = -(-self.n // tile)
+        self.behavioral = backend == "behavioral"
+        lsb = MatrixQuantizer(4).lsb_for(J)
+        self.tiles = {}
+        for bi in range(self.grid):
+            for bj in range(self.grid):
+                sub = J[bi * tile:(bi + 1) * tile, bj * tile:(bj + 1) * tile]
+                if not np.any(sub):
+                    continue
+                block = np.zeros((tile, tile))
+                block[: sub.shape[0], : sub.shape[1]] = sub
+                self.tiles[(bi, bj)] = DgFefetCrossbar(
+                    block, lsb=lsb, backend=backend, variation=variation,
+                    require_symmetric=False, seed=rng,
+                )
+
+    def reset_drive_state(self):
+        for tile in self.tiles.values():
+            tile.reset_drive_state()
+
+    def compute_increment(self, r, c, v_bg):
+        s = self.tile
+        rp = np.zeros(self.grid * s)
+        cp = np.zeros(self.grid * s)
+        rp[: self.n] = r
+        cp[: self.n] = c
+        total = 0.0
+        stats = []
+        for bj in sorted(set((np.flatnonzero(c) // s).tolist())):
+            for bi in range(self.grid):
+                tile = self.tiles.get((bi, bj))
+                if tile is None:
+                    continue
+                value, st = tile.compute_increment(
+                    rp[bi * s:(bi + 1) * s], cp[bj * s:(bj + 1) * s],
+                    VBG_MAX if self.behavioral else v_bg,
+                )
+                total += value
+                stats.append(st)
+        if self.behavioral and stats:
+            total *= next(iter(self.tiles.values())).factor(v_bg)
+        return total, ActivationStats(
+            phases=max((st.phases for st in stats), default=0),
+            adc_conversions=sum(st.adc_conversions for st in stats),
+            mux_slots=max((st.mux_slots for st in stats), default=0),
+            sa_codes=sum(st.sa_codes for st in stats),
+            fg_toggles=sum(st.fg_toggles for st in stats),
+            dl_toggles=sum(st.dl_toggles for st in stats),
+            active_cells=sum(st.active_cells for st in stats),
+            settle_time=max((st.settle_time for st in stats), default=0.0),
+        )
+
+
+def read_sequence(rng, n, tile, steps):
+    """Yield ``("reset", None, None, None)`` or ``("read", r, c, v_bg)``.
+
+    A walk over one spin state mixing the annealer's proposals (1–4
+    flips, all in one column block or spread over several, accepted half
+    the time) with dense reads (``σ_rᵀĴσ``), sparse ``{-1, 0, +1}``
+    drives, undriven reads and drive-state resets — so toggle carry-over
+    between reads and across resets is exercised.
+    """
+    grid = -(-n // tile)
+    sigma = rng.choice([-1.0, 1.0], n)
+    for _ in range(steps):
+        kind = rng.choice(["same", "spread", "dense", "sparse", "none", "reset"],
+                          p=[0.3, 0.25, 0.1, 0.15, 0.05, 0.15])
+        v_bg = float(rng.integers(0, 71)) / 100.0
+        if kind == "reset":
+            yield "reset", None, None, None
+            continue
+        if kind in ("same", "spread"):
+            t = int(rng.integers(1, 5))
+            if kind == "same":
+                bj = int(rng.integers(grid))
+                block = np.arange(bj * tile, min((bj + 1) * tile, n))
+                flips = rng.choice(block, size=min(t, block.size), replace=False)
+            else:
+                flips = rng.choice(n, size=t, replace=False)
+            c = np.zeros(n)
+            c[flips] = -sigma[flips]
+            r = sigma.copy()
+            r[flips] = 0.0
+            if rng.random() < 0.5:
+                sigma[flips] = -sigma[flips]
+        elif kind == "dense":
+            r, c = sigma.copy(), sigma.copy()
+        elif kind == "sparse":
+            r = rng.choice([-1.0, 0.0, 1.0], n)
+            c = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], n)
+        else:
+            r, c = sigma.copy(), np.zeros(n)
+        yield "read", r, c, v_bg
+
+
+class TestTiledReadOracle:
+    """The stacked grid reads exactly like one crossbar per block."""
+
+    @staticmethod
+    def _check(J, tile, backend, variation, seed, steps, exact):
+        tiled = TiledCrossbar(
+            J, tile_size=tile, backend=backend, variation=variation, seed=seed
+        )
+        oracle = BlockOracle(J, tile, backend, variation, seed=seed)
+        assert np.array_equal(tiled.matrix_hat[: J.shape[0]], np.block([
+            [oracle.tiles[(bi, bj)].matrix_hat if (bi, bj) in oracle.tiles
+             else np.zeros((tile, tile)) for bj in range(oracle.grid)]
+            for bi in range(oracle.grid)
+        ])[: J.shape[0], : J.shape[0]])
+        rng = ensure_rng(seed + 1)
+        for kind, r, c, v_bg in read_sequence(rng, J.shape[0], tile, steps):
+            if kind == "reset":
+                tiled.reset_drive_state()
+                oracle.reset_drive_state()
+                continue
+            got, got_stats = tiled.compute_increment(r, c, v_bg)
+            want, want_stats = oracle.compute_increment(r, c, v_bg)
+            assert got_stats == want_stats
+            if exact:
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @relaxed
+    @given(seed=st.integers(0, 10_000), tile=st.sampled_from([4, 5, 8]))
+    def test_behavioral_reads_bit_identical(self, seed, tile):
+        """Dyadic images: every partial sum is exact, so values are ``==``.
+
+        ``n = 22`` leaves a ragged last block for every tile size.
+        """
+        J = block_sparse_model(seed, n=22, tile=tile).toarray()  # repro-lint: disable=RPL001
+        self._check(J, tile, "behavioral", None, seed, steps=24, exact=True)
+
+    @relaxed
+    @given(seed=st.integers(0, 10_000), tile=st.sampled_from([4, 8]))
+    def test_behavioral_variation_reads(self, seed, tile):
+        """Frozen weight error and read noise draw in the per-block order."""
+        J = block_sparse_model(seed, n=22, tile=tile).toarray()  # repro-lint: disable=RPL001
+        variation = VariationModel(vth_sigma=0.02, read_noise_sigma=0.03)
+        self._check(J, tile, "behavioral", variation, seed, steps=16, exact=False)
+
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000),
+           variation=st.sampled_from(
+               [None, VariationModel(vth_sigma=0.01, read_noise_sigma=0.01)]))
+    def test_device_reads(self, seed, variation):
+        J = block_sparse_model(seed, n=10, tile=4).toarray()  # repro-lint: disable=RPL001
+        self._check(J, 4, "device", variation, seed, steps=8, exact=False)
+
+
+class TestIncrementValidation:
+    @staticmethod
+    def _tiled():
+        J = np.zeros((8, 8))
+        J[0, 1] = J[1, 0] = 0.5  # only block (0, 0) holds a tile
+        J[1, 2] = J[2, 1] = -0.25
+        return TiledCrossbar(J, tile_size=4, seed=0)
+
+    def test_values_checked_outside_activated_tiles(self):
+        """A bad row value in a block no driven tile reads is still caught."""
+        tiled = self._tiled()
+        r = np.ones(8)
+        r[1] = 0.0
+        r[6] = 2.0  # row block 1: no tile in column block 0
+        c = np.zeros(8)
+        c[1] = -1.0
+        with pytest.raises(ValueError, match=r"inputs must take values in \{-1, 0, \+1\}"):
+            tiled.compute_increment(r, c, 0.5)
+        value, _ = tiled.compute_increment(r, c, 0.5, validate=False)
+        mono = DgFefetCrossbar(tiled.matrix_hat, seed=0)
+        assert value == mono.compute_increment(r, c, 0.5, validate=False)[0]
+
+    def test_undriven_read_still_validates(self):
+        tiled = self._tiled()
+        with pytest.raises(ValueError, match="v_bg"):
+            tiled.compute_increment(np.ones(8), np.zeros(8), 0.9)
+        with pytest.raises(ValueError, match=r"inputs must take values"):
+            tiled.compute_increment(np.ones(8), np.full(8, 0.5), 0.5)
+        with pytest.raises(ValueError, match=r"input vectors must have shape \(8,\)"):
+            tiled.compute_increment(np.ones(7), np.zeros(8), 0.5)
 
 
 class TestSharedLsb:
