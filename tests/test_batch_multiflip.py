@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from repro.core import (
     BatchDirectEAnnealer,
     BatchInSituAnnealer,
+    FractionalFactor,
+    VbgEncoder,
     coupling_ops,
     solve_ising,
 )
@@ -149,6 +151,35 @@ class TestBitIdentityAgainstReferenceLoop:
         )
         result = engine_cls(model, **kwargs).run(120)
         ref = reference_batch_run(engine_cls(model, **kwargs), 120)
+        best_e, best_s, final_e, final_s, accepted = ref
+        assert np.array_equal(result.best_energies, best_e)
+        assert np.array_equal(result.final_energies, final_e)
+        assert np.array_equal(result.best_sigmas, best_s.astype(np.int8))
+        assert np.array_equal(result.final_sigmas, final_s.astype(np.int8))
+        assert np.array_equal(result.accepted, accepted)
+
+    @relaxed
+    @given(
+        seed=st.integers(0, 10_000),
+        t=st.integers(1, 4),
+        proposal=st.sampled_from(["scan", "random"]),
+        backend=st.sampled_from(["dense", "sparse"]),
+    )
+    def test_batch_encoder_matches_per_replica_reference(
+        self, seed, t, proposal, backend
+    ):
+        """The ``encoder=`` knob: realised grid factors, not analytic f(T)."""
+        dense, sparse = dyadic_pair(seed)
+        model = dense if backend == "dense" else sparse
+        encoder = VbgEncoder(
+            FractionalFactor(), transfer=lambda v: (v / 0.7) ** 1.5
+        )
+        kwargs = dict(
+            replicas=4, flips_per_iteration=t, proposal=proposal,
+            encoder=encoder, seed=seed,
+        )
+        result = BatchInSituAnnealer(model, **kwargs).run(120)
+        ref = reference_batch_run(BatchInSituAnnealer(model, **kwargs), 120)
         best_e, best_s, final_e, final_s, accepted = ref
         assert np.array_equal(result.best_energies, best_e)
         assert np.array_equal(result.final_energies, final_e)
