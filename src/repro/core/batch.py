@@ -1,29 +1,31 @@
-"""Vectorised multi-replica in-situ annealing.
+"""Vectorised multi-replica annealing: the lane loop of Algorithm 1.
 
 The paper's evaluation runs 100 independent annealing runs per instance
 (Sec. 4.1).  Running them one by one in Python pays the interpreter
 overhead 100×; this module advances ``R`` independent replicas of
 Algorithm 1 *simultaneously* with array-wide numpy operations — one
-gather/scatter per iteration regardless of R — which speeds Monte-Carlo
-protocols up by one to two orders of magnitude.
+gather/scatter per iteration regardless of R.
 
-Semantics match the sequential annealers for any constant flip-set size
-``t = flips_per_iteration >= 1`` (Algorithm 1 is defined for constant
-``t = |F|``): same proposal modes, same factor/schedule handling, same
-acceptance rule, per-replica independent randomness, and the same
-rank-``t`` incremental-E mathematics — each replica of a batch is
-bit-identical to a straight-line per-replica reference loop over the
-*sequential* coupling ops whenever sums are exact (dyadic couplings;
-``tests/test_batch_multiflip.py`` pins this on both backends).  (Replica
-r of a batch is *not* bit-identical to a sequential run with seed r — RNG
-streams differ — but the ensembles are statistically equivalent, which is
-what Monte-Carlo experiments consume.)
+It holds the batch shape of Algorithm 1, written once: :func:`_run_lanes`
+advances ``(R, k)`` replica × lane tensors, where a *lane* is one run's
+frozen draws (:class:`StackedLane`).  A batch engine draws its lane
+(:meth:`_BatchEngine._draw`: schedule → initial state → proposal tensor
+→ accept uniforms) and runs it with ``k = 1`` on its own model; the
+service's block-stacked runs (:mod:`repro.core.blockstack`) hand the
+same loop ``k`` lanes over a block-diagonal union.  Each accept rule
+(:func:`_accept_insitu`, :func:`_accept_metropolis`) is defined once.
 
-Like the sequential annealers, the engines accept a ``permutation``
-declaring the model a relabelled view of the caller's problem: proposals
-and initial configurations are drawn in the caller's original spin space
-and mapped through the permutation, and all returned configurations are
-mapped back — so reordered replica solves are layout-independent.
+Semantics match the serial annealers for any constant flip-set size
+``t = flips_per_iteration >= 1``: same proposal modes, schedules and
+accept rules, and the same rank-``t`` incremental-E mathematics — each
+replica is bit-identical to a straight-line per-replica loop over the
+*serial* coupling ops whenever sums are exact (dyadic couplings;
+``tests/test_batch_multiflip.py`` pins this).  Replica r is *not* the
+serial run with seed r — the draws are made up front, not lazily — but
+the ensembles are statistically equivalent.  A ``permutation`` declares
+the model a relabelled view: draws stay in the caller's spin space and
+readouts are mapped back, so reordered replica solves are
+layout-independent.
 """
 
 from __future__ import annotations
@@ -32,15 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.coupling import auto_acceptance_scale, coupling_ops
+from repro.core.annealer import _Engine, _InSituRule
+from repro.core.coupling import coupling_ops
 from repro.core.factors import FractionalFactor, VbgEncoder
-from repro.core.proposal import PROPOSAL_MODES, random_flip_sets, scan_order
+from repro.core.proposal import random_flip_sets, scan_order
 from repro.core.results import CutNormalization
-from repro.core.schedule import Schedule, VbgStepSchedule
+from repro.core.sa import T_FLOOR, _MetropolisRule
+from repro.core.schedule import Schedule
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel
-from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_count, check_permutation
+from repro.utils.validation import check_count
 
 
 @dataclass
@@ -128,35 +131,195 @@ class BatchMaxCutResult(CutNormalization):
         )
 
 
-class _BatchEngine:
-    """Shared vectorised state machine for the batch annealers.
+@dataclass
+class StackedLane:
+    """One job's frozen batch run: model + every RNG draw of the run.
 
-    Subclasses provide the per-iteration accept mask through
-    :meth:`_accept`; everything else (state, local-field caching, rank-t
-    proposal generation, best tracking, permutation mapping) is common.
+    Produced by :meth:`_BatchEngine._draw` (through
+    :func:`~repro.core.blockstack.compile_lane` for served jobs); all
+    stochastic inputs of the run (initial state, proposal tensor,
+    per-iteration uniforms, schedule-derived accept parameters) are
+    materialised here from the job's own seed stream, so the lane loop is
+    deterministic given its lanes.  Spin indices and ``sigma0`` are in
+    ``model``'s own ordering.
     """
 
-    def _init_common(
-        self, model, replicas, flips_per_iteration, proposal, permutation, seed
-    ) -> None:
-        if proposal not in PROPOSAL_MODES:
-            raise ValueError("proposal must be 'scan' or 'random'")
-        self.model = model
-        self.n = model.num_spins
-        self.replicas = check_count("replicas", replicas)
-        t = check_count("flips_per_iteration", flips_per_iteration)
-        if t > self.n:
-            raise ValueError(
-                f"flips_per_iteration must be in [1, {self.n}], got {t}"
-            )
-        self.flips_per_iteration = t
-        self.proposal = proposal
-        self.permutation = permutation
-        if permutation is None:
-            self._fwd = self._bwd = None
+    model: SparseIsingModel
+    method: str
+    iterations: int
+    replicas: int
+    flips_per_iteration: int
+    sigma0: np.ndarray          # (R, n) float ±1, the initial draw
+    proposals: np.ndarray       # (iterations, R, t) local spin indices
+    uniforms: np.ndarray        # (iterations, R) accept draws
+    factors: np.ndarray | None = None          # insitu: f(T) per iteration
+    acceptance_scale: float | None = None      # insitu: the engine's gain
+    temperatures: np.ndarray | None = None     # sa: floored T per iteration
+
+
+def _accept_insitu(cross, field_term, factor, scale, u) -> np.ndarray:
+    """Algorithm 1's rule: ``E_inc ≤ 0`` or ``E_inc ≤ u``.
+
+    ``E_inc = (σ_rᵀJσ_c + field/2) · f · scale`` associated as ``(x · f) ·
+    scale``, exactly like the serial in-situ step, so decisions agree to
+    the last ulp at the comparison boundary.
+    """
+    e_inc = (cross + np.asarray(field_term) / 2.0) * factor * scale
+    return (e_inc <= 0.0) | (e_inc <= u)
+
+
+def _accept_metropolis(delta_e, temperature, u) -> np.ndarray:
+    """The direct-E rule: ``ΔE ≤ 0`` or ``u < exp(−ΔE/T)`` (``T`` floored)."""
+    return (delta_e <= 0.0) | (u < np.exp(-np.maximum(delta_e, 0.0) / temperature))
+
+
+def _run_lanes(model, lanes, starts=None, fwd=None) -> list[BatchAnnealResult]:
+    """The lane loop: advance ``k`` lanes of ``R`` replicas together.
+
+    All lanes share ``(method, iterations, replicas,
+    flips_per_iteration)``.  With ``starts=None`` the single lane runs on
+    its own ``model`` (the engine path; the run consumes the lane's
+    ``sigma0`` as its state); otherwise ``model`` is the block-diagonal
+    union and lane ``j`` owns columns ``starts[j]:starts[j] + n_j``.
+    Every iteration advances the replica × lane tensors array-wide with
+    per-(replica, lane) accept decisions; the lane axis exists only for
+    ``k > 1``, so a single lane runs on plain ``(R, t)`` / ``(R,)``
+    tensors and snapshots whole replica rows.  Cross terms, field terms
+    and energies of a lane are computed exactly as in a lone run
+    (cross-block couplings are structurally zero), so every lane's result
+    is bit-identical to its own single-lane run.  ``fwd`` maps the single
+    lane's readouts back to the caller's spin order.
+    """
+    first = lanes[0]
+    method, iterations, R, k = first.method, first.iterations, first.replicas, len(lanes)
+    stacked = starts is not None
+    if not stacked:
+        starts = np.zeros(1, dtype=np.intp)
+    stops = starts + np.array([lane.model.num_spins for lane in lanes], dtype=np.intp)
+    blocks = list(zip(starts, stops))
+    if stacked:
+        # Union initial state: each lane's draw in its block, padding +1.
+        sigma = np.ones((R, model.num_spins), dtype=np.float64)
+        for lane, (lo, hi) in zip(lanes, blocks):
+            sigma[:, lo:hi] = lane.sigma0
+    else:
+        sigma = first.sigma0  # the engine path: the state takes the draw
+
+    def per_lane(values):
+        return values[0] if k == 1 else np.stack(values, axis=-1)
+
+    # The replica spin tensor's layout is the backend's business:
+    # FloatBatchState keeps the float (R, n) tensor, PackedBatchState
+    # holds uint64 words with XOR flips.
+    ops = coupling_ops(model)
+    state = ops.make_batch_state(sigma)
+    g = state.fields
+    del sigma  # the state owns the replica spins from here on
+    # Per-lane energies from each lane's own arrays (the contiguous field
+    # slice reproduces a lone run's memory walk).
+    energy = per_lane([
+        np.einsum("rn,rn->r", lane.sigma0, np.ascontiguousarray(g[:, lo:hi]))
+        + lane.sigma0 @ lane.model.h
+        + lane.model.offset
+        for lane, (lo, hi) in zip(lanes, blocks)
+    ])
+    best_energy = energy.copy()
+    accepted = np.zeros(energy.shape, dtype=np.int64)
+    # (iterations, R[, k], t) union-column proposals and (iterations,
+    # R[, k]) uniforms; the first block starts at column 0.
+    props = first.proposals if k == 1 else np.stack(
+        [lane.proposals + lo for lane, (lo, _) in zip(lanes, blocks)], axis=-2
+    )
+    uniforms = per_lane([lane.uniforms for lane in lanes])
+    if method == "insitu":
+        factors = per_lane([lane.factors for lane in lanes])
+        scales = per_lane([lane.acceptance_scale for lane in lanes])
+    else:
+        temperatures = per_lane([lane.temperatures for lane in lanes])
+    h = model.h
+    fielded = np.array([lane.model.has_fields for lane in lanes], dtype=bool)
+    any_fields = bool(fielded.any())
+    all_fields = bool(fielded.all())
+
+    rows = np.arange(R).reshape((R,) + (1,) * (props.ndim - 2))
+    for it in range(iterations):
+        idx = props[it]  # (R[, k], t)
+        sig_f = state.gather(rows, idx)
+        cross = ops.batch_cross_term(g, idx, sig_f)
+        if any_fields:
+            field = -(h[idx] * sig_f).sum(axis=-1)
+            if not all_fields:
+                # Field-free lanes use the lone run's scalar 0.0 exactly
+                # (their union column is a sum of signed zeros otherwise).
+                field[:, ~fielded] = 0.0
         else:
-            self._fwd, self._bwd = check_permutation(permutation, self.n)
-        self._rng = ensure_rng(seed)
+            field = 0.0
+        delta = 4.0 * cross + 2.0 * field
+        if method == "insitu":
+            accept = _accept_insitu(cross, field, factors[it], scales, uniforms[it])
+        else:
+            accept = _accept_metropolis(delta, temperatures[it], uniforms[it])
+        if accept.any():
+            acc = np.nonzero(accept)  # (replica[, lane]) index arrays
+            cols = idx[acc]       # (A, t)
+            vals = sig_f[acc]     # (A, t)
+            # Repeated replica rows are safe on the union: different
+            # lanes' flips land in disjoint column blocks, so every flat
+            # scatter index is unique.
+            ops.batch_update_fields(g, acc[0], cols, vals)
+            state.flip(acc[0], cols, vals)
+            energy[acc] += delta[acc]
+            accepted[acc] += 1
+            improved = energy[acc] < best_energy[acc]
+            if improved.any():
+                imp = tuple(a[improved] for a in acc)
+                best_energy[imp] = energy[imp]
+                if k == 1:
+                    state.record_best(imp[0])
+                else:
+                    # A replica row holds k lanes: snapshot only the
+                    # improved lane's column block.
+                    state.record_best_blocks(imp[0], starts[imp[1]], stops[imp[1]])
+
+    # Readouts hand configurations back in the caller's original
+    # ordering (the state applies the forward permutation, if any).
+    best_sigmas = state.best_sigmas(fwd)
+    final_sigmas = state.final_sigmas(fwd)
+    energy, best_energy, accepted = (
+        a.reshape(R, k) for a in (energy, best_energy, accepted)
+    )
+    return [
+        BatchAnnealResult(
+            best_energies=best_energy[:, j].copy(),
+            best_sigmas=best_sigmas[:, lo:hi].copy(),
+            final_energies=energy[:, j].copy(),
+            final_sigmas=final_sigmas[:, lo:hi].copy(),
+            accepted=accepted[:, j].copy(),
+            iterations=iterations,
+        )
+        for j, (lo, hi) in enumerate(blocks)
+    ]
+
+
+class _BatchEngine(_Engine):
+    """The replica-batch engines: draw a lane, run it on the lane loop.
+
+    Subclasses provide ``method``, ``_build_schedule`` and
+    ``_lane_terms(temperatures)`` — the schedule-derived accept
+    parameters of their rule; everything else (validation, the draw
+    order, state, proposals, permutation mapping) is common.
+    """
+
+    method = ""
+
+    def _init_batch(
+        self, model, replicas, flips_per_iteration, schedule, proposal,
+        permutation, seed,
+    ) -> None:
+        self.replicas = check_count("replicas", replicas)
+        self._init_engine(
+            model, flips_per_iteration, schedule, proposal, permutation, seed
+        )
 
     def _proposal_tensor(self, iterations: int) -> np.ndarray:
         """(iterations, R, t) spin indices — scan sweeps or uniform draws.
@@ -164,9 +327,9 @@ class _BatchEngine:
         Indices are unique within each ``(iteration, replica)`` flip set
         and drawn in the caller's original spin space (mirroring
         :class:`~repro.core.proposal.FlipSelector` semantics, including the
-        straddle-safe per-sweep carry); :meth:`run` maps them through the
-        permutation.  For ``t == 1`` the RNG stream is identical to the
-        historical single-flip engine.
+        straddle-safe per-sweep carry); :meth:`_draw` maps them through
+        the permutation.  For ``t == 1`` the RNG stream is identical to
+        the historical single-flip engine.
         """
         rng = self._rng
         R, t = self.replicas, self.flips_per_iteration
@@ -180,9 +343,6 @@ class _BatchEngine:
             for _ in range(R)
         ]
         return np.stack(streams, axis=1)
-
-    def _accept(self, cross, field_term, delta_e, temperature, u) -> np.ndarray:
-        raise NotImplementedError
 
     def _initial_sigma(self, initial, rng) -> np.ndarray:
         """Validated (R, n) ±1 start state, in the caller's original space."""
@@ -209,6 +369,34 @@ class _BatchEngine:
             )
         return sigma
 
+    def _draw(self, iterations: int, initial=None) -> StackedLane:
+        """Every RNG draw of a run, in order, frozen into a lane.
+
+        Schedule (SA's default probes ``estimate_temperature_range``),
+        initial state, proposal tensor, then the accept uniforms —
+        ``rng.random((iterations, R))`` consumes the bit stream exactly
+        like ``iterations`` successive ``rng.random(R)`` calls.  The lane
+        is in the model's internal ordering (permutation applied).
+        """
+        rng = self._rng
+        schedule = self._build_schedule(iterations)
+        sigma0 = self._initial_sigma(initial, rng)
+        proposals = self._proposal_tensor(iterations)
+        uniforms = rng.random((iterations, self.replicas))
+        if self._bwd is not None:
+            # The draws are in the original spin space; gather into the
+            # internal ordering (C order, so the cached-field scatter
+            # updates alias instead of copying).
+            sigma0 = np.ascontiguousarray(sigma0[:, self._bwd])
+            proposals = self._fwd[proposals]
+        return StackedLane(
+            model=self.model, method=self.method, iterations=iterations,
+            replicas=self.replicas,
+            flips_per_iteration=self.flips_per_iteration,
+            sigma0=sigma0, proposals=proposals, uniforms=uniforms,
+            **self._lane_terms(schedule.profile()),
+        )
+
     def run(self, iterations: int, initial=None) -> BatchAnnealResult:
         """Advance all replicas for ``iterations`` steps.
 
@@ -226,74 +414,11 @@ class _BatchEngine:
             "iterations", iterations,
             hint="the annealers need at least one proposal/accept step",
         )
-        schedule = self._build_schedule(iterations)
-        if schedule.iterations != iterations:
-            raise ValueError("schedule length does not match iterations")
-        rng = self._rng
-        ops = coupling_ops(self.model)
-        h = self.model.h
-        has_fields = self.model.has_fields
-        R, n = self.replicas, self.n
-
-        sigma = self._initial_sigma(initial, rng)
-        if self._bwd is not None:
-            # The random draw and a caller-supplied `initial` are in the
-            # original spin space; gather into the internal ordering.  The
-            # gather returns an F-ordered view — restore C order so the
-            # cached-field scatter updates alias instead of copying.
-            sigma = np.ascontiguousarray(sigma[:, self._bwd])
-        # The replica spin tensor's layout is the backend's business:
-        # FloatBatchState keeps the historical float (R, n) tensor
-        # (dense/sparse trajectories byte-for-byte unchanged),
-        # PackedBatchState holds uint64 words with XOR flips.  The
-        # initial-energy einsum runs on the float draw before any flip,
-        # so it is valid for every state layout.
-        state = ops.make_batch_state(sigma)
-        g = state.fields  # (R, n)
-        energy = np.einsum("rn,rn->r", sigma, g) + sigma @ h + self.model.offset
-        best_energy = energy.copy()
-        accepted = np.zeros(R, dtype=np.int64)
-        del sigma  # the state owns the replica spins from here on
-        proposals = self._proposal_tensor(iterations)
-        if self._fwd is not None:
-            proposals = self._fwd[proposals]
-        rows = np.arange(R)[:, None]
-
-        for it in range(iterations):
-            temperature = schedule.temperature(it)
-            idx = proposals[it]  # (R, t)
-            sig_f = state.gather(rows, idx)
-            cross = ops.batch_cross_term(g, idx, sig_f)
-            field_term = -(h[idx] * sig_f).sum(axis=1) if has_fields else 0.0
-            delta_e = 4.0 * cross + 2.0 * field_term
-            u = rng.random(R)
-            accept = self._accept(cross, field_term, delta_e, temperature, u)
-            if accept.any():
-                acc = np.flatnonzero(accept)
-                cols = idx[acc]
-                vals = sig_f[acc]
-                ops.batch_update_fields(g, acc, cols, vals)
-                state.flip(acc, cols, vals)
-                energy[acc] += delta_e[acc]
-                accepted[acc] += 1
-                improved = acc[energy[acc] < best_energy[acc]]
-                if improved.size:
-                    best_energy[improved] = energy[improved]
-                    state.record_best(improved)
-
-        # Readouts hand configurations back in the caller's original
-        # ordering (the state applies the forward permutation, if any).
-        return BatchAnnealResult(
-            best_energies=best_energy,
-            best_sigmas=state.best_sigmas(self._fwd),
-            final_energies=energy,
-            final_sigmas=state.final_sigmas(self._fwd),
-            accepted=accepted,
-            iterations=iterations,
-        )
+        lane = self._draw(iterations, initial)
+        return _run_lanes(self.model, [lane], fwd=self._fwd)[0]
 
 
-class BatchInSituAnnealer(_BatchEngine):
+class BatchInSituAnnealer(_InSituRule, _BatchEngine):
     """R-replica vectorised in-situ annealer (rank-``t`` moves).
 
     Parameters
@@ -313,6 +438,8 @@ class BatchInSituAnnealer(_BatchEngine):
         configurations stay in the caller's original spin space.
     """
 
+    method = "insitu"
+
     def __init__(
         self,
         model: IsingModel | SparseIsingModel,
@@ -326,41 +453,20 @@ class BatchInSituAnnealer(_BatchEngine):
         permutation=None,
         seed=None,
     ) -> None:
-        self._init_common(
-            model, replicas, flips_per_iteration, proposal, permutation, seed
+        self._init_batch(
+            model, replicas, flips_per_iteration, schedule, proposal,
+            permutation, seed,
         )
-        self.factor = factor or FractionalFactor()
-        self.schedule = schedule
-        self.encoder = encoder
-        if acceptance_scale == "auto":
-            self.acceptance_scale = auto_acceptance_scale(model)
-        else:
-            self.acceptance_scale = float(acceptance_scale)
-            if self.acceptance_scale <= 0:
-                raise ValueError("acceptance_scale must be positive")
+        self._init_rule(model, factor, encoder, acceptance_scale)
 
-    def _factor_at(self, temperature: float) -> float:
-        if self.encoder is not None:
-            return self.encoder.realized_factor(temperature)
-        return float(self.factor.value(np.asarray(temperature)))
-
-    def _build_schedule(self, iterations: int) -> Schedule:
-        return self.schedule or VbgStepSchedule(iterations, factor=self.factor)
-
-    def _accept(self, cross, field_term, delta_e, temperature, u) -> np.ndarray:
-        # Same association as the sequential rule — (x · f) · scale, not
-        # x · (f · scale) — so accept decisions match the sequential
-        # annealer to the last ulp at the comparison boundary.
-        f_value = self._factor_at(temperature)
-        e_inc = (
-            (cross + np.asarray(field_term) / 2.0)
-            * f_value
-            * self.acceptance_scale
-        )
-        return (e_inc <= 0.0) | (e_inc <= u)
+    def _lane_terms(self, temperatures: np.ndarray) -> dict:
+        return {
+            "factors": self._factors(temperatures),
+            "acceptance_scale": self.acceptance_scale,
+        }
 
 
-class BatchDirectEAnnealer(_BatchEngine):
+class BatchDirectEAnnealer(_MetropolisRule, _BatchEngine):
     """R-replica vectorised direct-E Metropolis SA (rank-``t`` moves).
 
     The baseline algorithm at batch throughput — lets the 100-run Fig 10
@@ -368,6 +474,8 @@ class BatchDirectEAnnealer(_BatchEngine):
     :class:`~repro.core.sa.DirectEAnnealer` (plus ``replicas`` and
     ``permutation`` as in :class:`BatchInSituAnnealer`).
     """
+
+    method = "sa"
 
     def __init__(
         self,
@@ -379,22 +487,14 @@ class BatchDirectEAnnealer(_BatchEngine):
         permutation=None,
         seed=None,
     ) -> None:
-        self._init_common(
-            model, replicas, flips_per_iteration, proposal, permutation, seed
+        self._init_batch(
+            model, replicas, flips_per_iteration, schedule, proposal,
+            permutation, seed,
         )
-        self.schedule = schedule
 
-    def _build_schedule(self, iterations: int) -> Schedule:
-        if self.schedule is not None:
-            return self.schedule
-        from repro.core.sa import estimate_temperature_range
-        from repro.core.schedule import GeometricSchedule
+    def _lane_terms(self, temperatures: np.ndarray) -> dict:
+        return {"temperatures": np.maximum(temperatures, T_FLOOR)}
 
-        t_start, t_end = estimate_temperature_range(
-            self.model, seed=self._rng, permutation=self.permutation
-        )
-        return GeometricSchedule(iterations, t_start, t_end)
 
-    def _accept(self, cross, field_term, delta_e, temperature, u) -> np.ndarray:
-        t = max(float(temperature), 1e-12)
-        return (delta_e <= 0.0) | (u < np.exp(-np.maximum(delta_e, 0.0) / t))
+#: The batch engine serving each flip-proposal ``method=``.
+_BATCH_ENGINES = {cls.method: cls for cls in (BatchInSituAnnealer, BatchDirectEAnnealer)}

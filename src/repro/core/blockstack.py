@@ -9,24 +9,21 @@ iteration advances all ``k`` tenants simultaneously, and per-job results
 slice back out *bit-identically* to ``k`` solo ``solve_ising`` calls.
 
 Bit-identity is the load-bearing contract (the service bench asserts it
-before timing anything), and it holds because the stacked runner
-replicates each job's solo run exactly:
+before timing anything), and it holds because a stacked run *is* the
+solo run, widened:
 
-* :func:`compile_lane` performs a job's RNG draws in the precise order
-  the solo batch engine performs them — (SA only) the temperature-range
-  probe, the initial ±1 configuration, the proposal tensor, then the
-  per-iteration uniforms (``rng.random((iterations, R))`` consumes the
-  bit stream exactly like ``iterations`` successive ``rng.random(R)``
-  calls) — against the job's own ``ensure_rng(seed)`` stream;
-* :func:`run_stacked` re-evaluates the engine's per-iteration formulas
-  with per-*(replica, job)* accept decisions: per-block cross terms come
-  from the new unsummed
-  :meth:`~repro.core.coupling.SparseCouplingOps.batch_cross_term_slots`
-  kernel (cross-block couplings are structurally zero, so each block's
-  slot group carries exactly the solo contributions), field terms and
-  energies are regrouped the same way, and best-state snapshots copy
-  *column blocks* (:meth:`record_best_blocks`) instead of whole replica
-  rows.
+* :func:`compile_lane` builds the job's solo batch engine on the job's
+  own ``ensure_rng(seed)`` stream and calls its draw method
+  (:meth:`~repro.core.batch._BatchEngine._draw`), so the lane holds the
+  solo run's exact draws — there is no second copy of the draw order;
+* :func:`run_stacked` hands the lanes to the engine's own lane loop
+  (:func:`~repro.core.batch._run_lanes`) over the union: per-*(replica,
+  job)* accept decisions, ``(R, k, t)`` cross terms summed per flip set
+  by :meth:`~repro.core.coupling.SparseCouplingOps.batch_cross_term`
+  (cross-block couplings are structurally zero, so each job's flip set
+  sees exactly its solo contributions), field terms and energies per
+  job, and best-state snapshots of *column blocks*
+  (``record_best_blocks``) instead of whole replica rows.
 
 Every block is padded to a 64-spin boundary with isolated, never-proposed
 padding spins so the packed backend's word layout slices cleanly; the
@@ -46,30 +43,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.batch import (
+    _BATCH_ENGINES,
     BatchAnnealResult,
-    BatchDirectEAnnealer,
-    BatchInSituAnnealer,
+    StackedLane,
+    _run_lanes,
 )
-from repro.core.coupling import coupling_ops
 from repro.ising.packed import PackedIsingModel
 from repro.ising.sparse import SparseIsingModel
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_choice, check_count
 
 #: Methods the block-diagonal union can pack: the two flip-proposal batch
 #: engines.  SB integrates all positions through one matvec per step and
 #: MESA has no batch engine — those run solo (see ``repro.serve``).
-PACK_METHODS = ("insitu", "sa")
+PACK_METHODS = tuple(_BATCH_ENGINES)
 
 #: Blocks are padded to this boundary so packed spin words never straddle
 #: two jobs (a word-granular best-snapshot then cannot leak across).
 BLOCK_ALIGN = 64
-
-_LANE_ENGINES = {
-    "insitu": BatchInSituAnnealer,
-    "sa": BatchDirectEAnnealer,
-}
-
 
 @dataclass(frozen=True)
 class BlockSlice:
@@ -149,57 +139,21 @@ def stack_models(models, align: int = BLOCK_ALIGN) -> BlockStack:
             fields[b.start:b.stop] = m.h
     union_indptr = np.zeros(total + 1, dtype=np.intp)
     np.cumsum(np.concatenate(count_parts), out=union_indptr[1:])
-    union_indices = (
-        np.concatenate(index_parts)
-        if index_parts else np.empty(0, dtype=np.intp)
-    )
-    union_data = (
-        np.concatenate(data_parts)
-        if data_parts else np.empty(0, dtype=np.float64)
-    )
+    csr = (union_indptr, np.concatenate(index_parts), np.concatenate(data_parts))
 
     name = f"blockstack-{len(members)}x"
-    all_packed = all(isinstance(m, PackedIsingModel) for m in members)
     scales = {m.scale for m in members if isinstance(m, PackedIsingModel)}
-    if all_packed and len(scales) == 1:
+    model = None
+    if len(scales) == 1 and all(isinstance(m, PackedIsingModel) for m in members):
         try:
-            model: SparseIsingModel = PackedIsingModel(
-                union_indptr, union_indices, union_data, fields, 0.0, name
-            )
+            model = PackedIsingModel(*csr, fields, 0.0, name)
         except ValueError:
             # Degenerate members (e.g. coupling-free) can break packed
             # eligibility of the union; the sparse union is always valid.
-            model = SparseIsingModel(
-                union_indptr, union_indices, union_data, fields, 0.0, name
-            )
-    else:
-        model = SparseIsingModel(
-            union_indptr, union_indices, union_data, fields, 0.0, name
-        )
+            pass
+    if model is None:
+        model = SparseIsingModel(*csr, fields, 0.0, name)
     return BlockStack(model=model, blocks=tuple(blocks))
-
-
-@dataclass
-class StackedLane:
-    """One job's compiled slot in a stacked run: model + frozen RNG draws.
-
-    Produced by :func:`compile_lane`; all stochastic inputs of the solo
-    engine run (initial state, proposal tensor, per-iteration uniforms,
-    SA temperature schedule) are materialised here from the job's own
-    seed stream, so :func:`run_stacked` is deterministic given its lanes.
-    """
-
-    model: SparseIsingModel
-    method: str
-    iterations: int
-    replicas: int
-    flips_per_iteration: int
-    sigma0: np.ndarray          # (R, n) float ±1, the solo initial draw
-    proposals: np.ndarray       # (iterations, R, t) local spin indices
-    uniforms: np.ndarray        # (iterations, R) accept draws
-    factors: np.ndarray | None          # insitu: f(T) per iteration
-    acceptance_scale: float | None      # insitu: the engine's gain
-    temperatures: np.ndarray | None     # sa: floored T per iteration
 
 
 def compile_lane(
@@ -213,10 +167,10 @@ def compile_lane(
 ) -> StackedLane:
     """Freeze one job's solo RNG draws into a :class:`StackedLane`.
 
-    The draws happen in exactly the solo engine's order against
-    ``ensure_rng(seed)`` — construct engine (SA's default schedule probes
-    ``estimate_temperature_range`` on this stream), initial configuration,
-    proposal tensor, then the accept uniforms — so a lane executed through
+    Builds the solo batch engine on ``ensure_rng(seed)`` and returns its
+    own draw (:meth:`~repro.core.batch._BatchEngine._draw`: schedule,
+    initial configuration, proposal tensor, accept uniforms — the order
+    its ``run`` consumes them in), so a lane executed through
     :func:`run_stacked` reproduces ``solve_ising(model, method,
     iterations, seed=seed, replicas=replicas,
     flips_per_iteration=flips_per_iteration)`` bit-for-bit.
@@ -235,41 +189,11 @@ def compile_lane(
     flips_per_iteration = check_count(
         "flips_per_iteration", flips_per_iteration
     )
-    rng = ensure_rng(seed)
-    # The engine is the source of truth for schedule/scale derivation and
-    # the draw order; its internal hooks are reused on purpose so lane
-    # compilation can never drift from the solo run() sequence.
-    engine = _LANE_ENGINES[method](
+    engine = _BATCH_ENGINES[method](
         model, replicas=replicas,
-        flips_per_iteration=flips_per_iteration, seed=rng,
+        flips_per_iteration=flips_per_iteration, seed=seed,
     )
-    schedule = engine._build_schedule(iterations)
-    if schedule.iterations != iterations:
-        raise ValueError("schedule length does not match iterations")
-    temps = schedule.profile()
-    sigma0 = engine._initial_sigma(initial, rng)
-    proposals = engine._proposal_tensor(iterations)
-    # Stream-equivalent to `iterations` successive rng.random(R) calls:
-    # Generator.random fills C-order, one bit-stream draw per double.
-    uniforms = rng.random((iterations, replicas))
-    if method == "insitu":
-        # factor.value is an elementwise ufunc expression, so evaluating
-        # the whole profile matches the solo per-iteration scalar calls.
-        factors = np.asarray(engine.factor.value(temps), dtype=np.float64)
-        acceptance_scale = float(engine.acceptance_scale)
-        temperatures = None
-    else:
-        factors = None
-        acceptance_scale = None
-        # The solo accept rule floors each scalar: max(T, 1e-12).
-        temperatures = np.maximum(temps, 1e-12)
-    return StackedLane(
-        model=model, method=method, iterations=iterations,
-        replicas=replicas, flips_per_iteration=engine.flips_per_iteration,
-        sigma0=sigma0, proposals=proposals, uniforms=uniforms,
-        factors=factors, acceptance_scale=acceptance_scale,
-        temperatures=temperatures,
-    )
+    return engine._draw(iterations, initial)
 
 
 def run_stacked(lanes) -> list[BatchAnnealResult]:
@@ -302,119 +226,9 @@ def run_stacked(lanes) -> list[BatchAnnealResult]:
                 f"flips_per_iteration); got {lane_key} alongside {key} — "
                 "group jobs by these knobs before packing"
             )
-    k = len(lanes)
-    method, iterations, R, t = key
     stack = stack_models([lane.model for lane in lanes])
-    ops = coupling_ops(stack.model)
-    blocks = stack.blocks
-    starts = np.array([b.start for b in blocks], dtype=np.intp)
-    stops = np.array([b.stop for b in blocks], dtype=np.intp)
-
-    # Union initial state: each job's solo draw in its block, padding +1.
-    sigma = np.ones((R, stack.model.num_spins), dtype=np.float64)
-    for lane, b in zip(lanes, blocks):
-        sigma[:, b.start:b.stop] = lane.sigma0
-    state = ops.make_batch_state(sigma)
-    g = state.fields
-    del sigma  # the state owns the replica spins from here on
-
-    # Per-job energies from each job's own arrays (the contiguous field
-    # slice reproduces the solo einsum's memory walk).
-    energy = np.empty((R, k), dtype=np.float64)
-    for j, (lane, b) in enumerate(zip(lanes, blocks)):
-        g_j = np.ascontiguousarray(g[:, b.start:b.stop])
-        energy[:, j] = (
-            np.einsum("rn,rn->r", lane.sigma0, g_j)
-            + lane.sigma0 @ lane.model.h
-            + lane.model.offset
-        )
-    best_energy = energy.copy()
-    accepted = np.zeros((R, k), dtype=np.int64)
-
-    # Pre-assembled per-iteration tensors: proposals offset into union
-    # columns, uniforms / accept parameters laid out per job column.
-    props = np.empty((iterations, R, k, t), dtype=np.intp)
-    uniforms = np.empty((iterations, R, k), dtype=np.float64)
-    for j, (lane, b) in enumerate(zip(lanes, blocks)):
-        props[:, :, j, :] = lane.proposals + b.start
-        uniforms[:, :, j] = lane.uniforms
-    if method == "insitu":
-        factors = np.empty((iterations, k), dtype=np.float64)
-        scales = np.empty(k, dtype=np.float64)
-        for j, lane in enumerate(lanes):
-            factors[:, j] = lane.factors
-            scales[j] = lane.acceptance_scale
-    else:
-        temperatures = np.empty((iterations, k), dtype=np.float64)
-        for j, lane in enumerate(lanes):
-            temperatures[:, j] = lane.temperatures
-
-    h_union = stack.model.h
-    fielded = np.array(
-        [lane.model.has_fields for lane in lanes], dtype=bool
-    )
-    any_fields = bool(fielded.any())
-    all_fields = bool(fielded.all())
-
-    rows = np.arange(R)[:, None]
-    for it in range(iterations):
-        idx = props[it].reshape(R, k * t)
-        sig_f = state.gather(rows, idx)
-        slots = ops.batch_cross_term_slots(g, idx, sig_f)
-        # Per-job regroup: each block's t slots sum in solo slot order.
-        cross = slots.reshape(R, k, t).sum(axis=2)
-        if any_fields:
-            field = -(h_union[idx] * sig_f).reshape(R, k, t).sum(axis=2)
-            if not all_fields:
-                # Field-free jobs use the solo scalar 0.0 exactly (their
-                # union column is a sum of signed zeros otherwise).
-                field[:, ~fielded] = 0.0
-        else:
-            field = 0.0
-        delta = 4.0 * cross + 2.0 * field
-        u = uniforms[it]
-        if method == "insitu":
-            # Same association as the engines: ((x · f) · scale).
-            e_inc = (cross + np.asarray(field) / 2.0) * factors[it] * scales
-            accept = (e_inc <= 0.0) | (e_inc <= u)
-        else:
-            accept = (delta <= 0.0) | (
-                u < np.exp(-np.maximum(delta, 0.0) / temperatures[it])
-            )
-        if accept.any():
-            acc_r, acc_j = np.nonzero(accept)
-            cols = props[it][acc_r, acc_j]                 # (A, t)
-            vals = sig_f.reshape(R, k, t)[acc_r, acc_j]    # (A, t)
-            # Duplicate replica rows are safe on the sparse/packed union:
-            # different jobs' flips land in disjoint column blocks, so
-            # every flat scatter index is unique (and the rank-t path
-            # collapses shared-neighbour duplicates via bincount anyway).
-            ops.batch_update_fields(g, acc_r, cols, vals)
-            state.flip(acc_r, cols, vals)
-            energy[acc_r, acc_j] += delta[acc_r, acc_j]
-            accepted[acc_r, acc_j] += 1
-            improved = energy[acc_r, acc_j] < best_energy[acc_r, acc_j]
-            if improved.any():
-                imp_r = acc_r[improved]
-                imp_j = acc_j[improved]
-                best_energy[imp_r, imp_j] = energy[imp_r, imp_j]
-                state.record_best_blocks(
-                    imp_r, starts[imp_j], stops[imp_j]
-                )
-
-    best_sigmas = state.best_sigmas(None)
-    final_sigmas = state.final_sigmas(None)
-    return [
-        BatchAnnealResult(
-            best_energies=best_energy[:, j].copy(),
-            best_sigmas=best_sigmas[:, b.start:b.stop].copy(),
-            final_energies=energy[:, j].copy(),
-            final_sigmas=final_sigmas[:, b.start:b.stop].copy(),
-            accepted=accepted[:, j].copy(),
-            iterations=iterations,
-        )
-        for j, b in enumerate(blocks)
-    ]
+    starts = np.array([b.start for b in stack.blocks], dtype=np.intp)
+    return _run_lanes(stack.model, lanes, starts=starts)
 
 
 __all__ = [

@@ -1,33 +1,28 @@
 """Backend-agnostic coupling access for the annealer hot loops.
 
-The three solver families (:mod:`~repro.core.annealer`, :mod:`~repro.core.sa`,
-:mod:`~repro.core.mesa`) and the multi-replica batch engine
-(:mod:`~repro.core.batch`) need exactly five operations on the coupling
-matrix:
+Algorithm 1 has two loops — the serial loop of :mod:`~repro.core.annealer`
+(in-situ, SA and, through SA, MESA) and the lane loop of
+:mod:`~repro.core.batch` (replica solves and block-stacked service runs).
+Each needs the same three operations on the coupling matrix, in a serial
+and a batch form, plus ``diag()`` for the self-coupling correction:
 
-* ``local_fields(σ)`` — the cached state ``g = J σ``;
-* ``diag()`` — ``diag(J)`` for the self-coupling correction;
-* ``cross_term(g, F, σ_F)`` — the incremental-E core ``σ_rᵀ J σ_c``
-  evaluated from the cached fields;
-* ``update_fields(g, F, σ_F)`` — the rank-``|F|`` in-place update after an
-  accepted flip;
-* the batch (R-replica) variants of the first three: ``batch_local_fields``
-  for the initial ``(R, n)`` state, ``batch_cross_term`` for per-replica
-  rank-``t`` flip sets, and ``batch_update_fields`` applying the accepted
-  replicas' rank-``t`` updates in one scatter.
+* ``local_fields(σ)`` / ``batch_local_fields(Σ)`` — the cached state
+  ``g = J σ`` of one trajectory / of an ``(R, n)`` replica batch;
+* ``cross_term(g, F, σ_F)`` / ``batch_cross_term(G, F, Σ_F)`` — the
+  incremental-E core ``σ_rᵀ J σ_c`` from the cached fields; the batch
+  form takes ``(R, t)`` or ``(R, k, t)`` flip sets and sums over the
+  flip-set axis;
+* ``update_fields(g, F, σ_F)`` / ``batch_update_fields(G, rows, F, Σ_F)``
+  — the rank-``|F|`` in-place update after an accepted flip (one scatter
+  for every accepted replica).
 
-The simulated-bifurcation engines (:mod:`~repro.core.sb`) add one more
-pair: ``matvec(x)`` / ``batch_matvec(X)``, the plain coupling product
-``J x`` for *arbitrary real* inputs (continuous bSB positions or dSB sign
-readouts) — dense matrix product on one side, CSR ``bincount`` SpMV on
-the other, never densifying.
-
-The batch engine additionally owns a full replica spin tensor whose
-layout is backend business, not engine business: ``make_batch_state``
-returns the spin-state adapter (:class:`FloatBatchState` here, the
-bit-packed :class:`~repro.core.packed.PackedBatchState` on the packed
-backend) through which the engine gathers proposed spins, applies
-accepted flips, and snapshots per-replica bests.
+The simulated-bifurcation engines (:mod:`~repro.core.sb`) add
+``matvec(x)`` / ``batch_matvec(X)``, the plain product ``J x`` for
+*arbitrary real* inputs, never densifying.  The lane loop's replica spin
+tensor has a backend-chosen layout: ``make_batch_state`` returns the
+spin-state adapter (:class:`FloatBatchState` here, the bit-packed
+:class:`~repro.core.packed.PackedBatchState` on the packed backend) that
+gathers proposed spins, applies accepted flips and snapshots bests.
 
 :func:`coupling_ops` wraps a model in the matching adapter:
 :class:`DenseCouplingOps` reproduces the seed's dense numpy expressions
@@ -47,6 +42,25 @@ import numpy as np
 from repro.ising.model import IsingModel
 from repro.ising.packed import PackedIsingModel
 from repro.ising.sparse import SparseIsingModel
+
+
+def _copy_row_ranges(dst, src, rows, starts, stops) -> None:
+    """``dst[rows[a], starts[a]:stops[a]] = src[...]`` for every ``a``, in one copy.
+
+    ``dst``/``src`` are C-contiguous 2-D arrays of one shape.  ``rows``
+    may repeat (several blocks of one row) as long as the ranges of a row
+    are disjoint, so the flat copy touches each destination element once.
+    """
+    widths = (stops - starts).astype(np.intp)
+    total = int(widths.sum())
+    if total == 0:
+        return
+    offsets = np.concatenate(([0], np.cumsum(widths)[:-1]))
+    flat = np.repeat(rows * src.shape[1] + starts - offsets, widths) + np.arange(total)
+    # Aliasing audited: both batch states build their spin tensors
+    # C-contiguous (the engine re-contiguates permutation gathers,
+    # pack_spin_rows fills np.zeros) and the best snapshot is a .copy().
+    dst.reshape(-1)[flat] = src.reshape(-1)[flat]  # repro-lint: disable=RPL004
 
 
 class FloatBatchState:
@@ -89,23 +103,8 @@ class FloatBatchState:
         independent jobs side by side in one replica row, so a best-state
         improvement belongs to *one column block*, not the whole row —
         :meth:`record_best` would overwrite other jobs' snapshots.
-        ``rows`` may repeat (several jobs of one replica improving in the
-        same iteration): the ranges are disjoint per replica, so the flat
-        copy below touches each destination element once.
         """
-        widths = (stops - starts).astype(np.intp)
-        total = int(widths.sum())
-        if total == 0:
-            return
-        offsets = np.concatenate(([0], np.cumsum(widths)[:-1]))
-        n = self._sigma.shape[1]
-        flat = (
-            np.repeat(rows * n + starts - offsets, widths)
-            + np.arange(total)
-        )
-        # Aliasing audited: _sigma enters C-contiguous (the engine
-        # re-contiguates permutation gathers) and _best is its .copy().
-        self._best.reshape(-1)[flat] = self._sigma.reshape(-1)[flat]  # repro-lint: disable=RPL004
+        _copy_row_ranges(self._best, self._sigma, rows, starts, stops)
 
     def _readout(self, sigma: np.ndarray, fwd: np.ndarray | None) -> np.ndarray:
         if fwd is not None:
@@ -176,34 +175,26 @@ class DenseCouplingOps:
     def batch_cross_term(
         self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
     ) -> np.ndarray:
-        """``(R,)`` cross terms ``σ_rᵀ J σ_c`` for per-replica flip sets.
+        """Cross terms ``σ_rᵀ J σ_c`` for per-replica flip sets.
 
-        ``idx`` and ``sig_f`` are ``(R, t)``: replica ``r`` proposes the
-        flip set ``idx[r]`` (unique indices) currently valued ``sig_f[r]``.
-        Same formula as :meth:`cross_term` per replica, evaluated
-        array-wide; the ``t == 1`` fast path reuses the cached diagonal.
+        ``idx`` and ``sig_f`` are ``(R, t)`` — replica ``r`` proposes the
+        flip set ``idx[r]`` (unique indices) currently valued ``sig_f[r]``
+        — or ``(R, k, t)``, ``k`` flip sets per replica.  Same formula as
+        :meth:`cross_term` per flip set, evaluated array-wide and summed
+        over the flip-set axis: the result is ``(R,)`` or ``(R, k)``.  The
+        ``t == 1`` fast path reuses the cached diagonal.
         """
-        return self.batch_cross_term_slots(g, idx, sig_f).sum(axis=1)
-
-    def batch_cross_term_slots(
-        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
-    ) -> np.ndarray:
-        """``(R, t)`` per-slot cross-term contributions, before the sum.
-
-        :meth:`batch_cross_term` is exactly ``slots.sum(axis=1)`` (IEEE
-        negation is exact and sign-symmetric under rounding, so negating
-        per slot and summing matches negating the sum bit-for-bit).  The
-        block-stacked runner consumes the unsummed slots to regroup them
-        per member block.
-        """
-        rows = np.arange(idx.shape[0])[:, None]
+        rows = np.arange(idx.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
         g_f = g[rows, idx]
-        if idx.shape[1] == 1:
-            return -(sig_f * (g_f - self._diag[idx] * sig_f))
-        sub = np.einsum(
-            "rkl,rl->rk", self._J[idx[:, :, None], idx[:, None, :]], sig_f
-        )
-        return -(sig_f * (g_f - sub))
+        if idx.shape[-1] == 1:
+            sub = self._diag[idx] * sig_f
+        else:
+            sub = np.einsum(
+                "...kl,...l->...k",
+                self._J[idx[..., :, None], idx[..., None, :]],
+                sig_f,
+            )
+        return (-(sig_f * (g_f - sub))).sum(axis=-1)
 
     def batch_update_fields(
         self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
@@ -366,54 +357,44 @@ class SparseCouplingOps:
     def batch_cross_term(
         self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
     ) -> np.ndarray:
-        """``(R,)`` cross terms for per-replica rank-``t`` flip sets.
+        """Cross terms for per-replica rank-``t`` flip sets.
 
-        Same mathematics as :meth:`cross_term` per replica: for each
-        flipped spin, the contribution of *other* flipped spins in the same
-        replica is subtracted from the cached field.  The flip-set
-        intersection runs as one global binary search — each replica's flip
-        set is sorted and keyed by ``r·n + spin``, so every gathered
-        neighbour of every flipped spin resolves against a single sorted
-        key array.  O(Σ degree · log t) time, O(Σ degree) memory; the
-        coupling matrix is never densified.
+        Shapes as in :meth:`DenseCouplingOps.batch_cross_term`: ``(R, t)``
+        flip sets give ``(R,)``, ``(R, k, t)`` give ``(R, k)``.  Same
+        mathematics as :meth:`cross_term` per flip set: for each flipped
+        spin, the contribution of *other* flipped spins in the same set is
+        subtracted from the cached field.  The flip-set intersection runs
+        as one global binary search — each set is sorted and keyed by
+        ``set·n + spin``, so every gathered neighbour of every flipped spin
+        resolves against a single sorted key array.  O(Σ degree · log t)
+        time, O(Σ degree) memory; the coupling matrix is never densified.
         """
-        return self.batch_cross_term_slots(g, idx, sig_f).sum(axis=1)
-
-    def batch_cross_term_slots(
-        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
-    ) -> np.ndarray:
-        """``(R, t)`` per-slot cross-term contributions, before the sum.
-
-        Same split as the dense twin: :meth:`batch_cross_term` is exactly
-        ``slots.sum(axis=1)``.  For flip sets whose members live in
-        mutually uncoupled column blocks (the block-stacked union), each
-        slot's ``sub`` only sees flips of its own block, so regrouped
-        per-block sums reproduce the member models' solo cross terms.
-        """
-        R, t = idx.shape
-        rows = np.arange(R)[:, None]
+        t = idx.shape[-1]
+        rows = np.arange(idx.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
         g_f = g[rows, idx]
         if t == 1:
-            return -(sig_f * (g_f - self._diag[idx] * sig_f))
-        order = np.argsort(idx, axis=1)
-        sorted_idx = np.take_along_axis(idx, order, axis=1)
-        sorted_sig = np.take_along_axis(sig_f, order, axis=1).ravel()
-        keys = (rows * self._n + sorted_idx).ravel()
-        counts, nbr, w = self._gather_rows(idx.ravel())
-        sub = np.zeros(R * t, dtype=np.float64)
+            return (-(sig_f * (g_f - self._diag[idx] * sig_f))).sum(axis=-1)
+        sets = idx.reshape(-1, t)
+        num_sets = sets.shape[0]
+        order = np.argsort(sets, axis=1)
+        sorted_idx = np.take_along_axis(sets, order, axis=1)
+        sorted_sig = np.take_along_axis(sig_f.reshape(-1, t), order, axis=1).ravel()
+        keys = (np.arange(num_sets)[:, None] * self._n + sorted_idx).ravel()
+        counts, nbr, w = self._gather_rows(sets.ravel())
+        sub = np.zeros(num_sets * t, dtype=np.float64)
         if nbr.size:
-            rep = np.repeat(np.repeat(np.arange(R), t), counts)
+            rep = np.repeat(np.repeat(np.arange(num_sets), t), counts)
             nbr_keys = rep * self._n + nbr
             loc = np.minimum(np.searchsorted(keys, nbr_keys), keys.size - 1)
             hit = keys[loc] == nbr_keys
             if hit.any():
-                seg = np.repeat(np.arange(R * t), counts)
+                seg = np.repeat(np.arange(num_sets * t), counts)
                 sub = np.bincount(
                     seg[hit],
                     weights=w[hit] * sorted_sig[loc[hit]],
-                    minlength=R * t,
+                    minlength=num_sets * t,
                 )
-        return -(sig_f * (g_f - sub.reshape(R, t)))
+        return (-(sig_f * (g_f - sub.reshape(idx.shape)))).sum(axis=-1)
 
     def batch_update_fields(
         self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray

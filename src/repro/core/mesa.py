@@ -58,12 +58,10 @@ class MesaAnnealer:
         permutation=None,
         seed=None,
     ) -> None:
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        self.epochs = check_count("epochs", epochs)
         if not 0.0 < epoch_decay <= 1.0:
             raise ValueError("epoch_decay must be in (0, 1]")
         self.model = model
-        self.epochs = int(epochs)
         self.epoch_decay = float(epoch_decay)
         self.flips_per_iteration = check_count(
             "flips_per_iteration", flips_per_iteration

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.coupling import SparseCouplingOps
+from repro.core.coupling import SparseCouplingOps, _copy_row_ranges
 from repro.ising.packed import (
     PackedIsingModel,
     pack_spin_rows,
@@ -109,20 +109,7 @@ class PackedBatchState:
         every block to a 64-spin boundary for exactly this reason (the
         spill-over columns are the block's own padding spins).
         """
-        word_lo = (starts >> 6).astype(np.intp)
-        word_hi = ((stops + 63) >> 6).astype(np.intp)
-        widths = word_hi - word_lo
-        total = int(widths.sum())
-        if total == 0:
-            return
-        offsets = np.concatenate(([0], np.cumsum(widths)[:-1]))
-        flat = (
-            np.repeat(rows * self._num_words + word_lo - offsets, widths)
-            + np.arange(total)
-        )
-        # Aliasing audited: _words comes from pack_spin_rows (np.zeros +
-        # in-place |=, C-contiguous by construction) and _best is its copy.
-        self._best.reshape(-1)[flat] = self._words.reshape(-1)[flat]  # repro-lint: disable=RPL004
+        _copy_row_ranges(self._best, self._words, rows, starts >> 6, (stops + 63) >> 6)
 
     def _readout(self, words: np.ndarray, fwd: np.ndarray | None) -> np.ndarray:
         sigma = unpack_spin_rows(words, self._n)

@@ -8,27 +8,26 @@ exponent hardware [18].
 
 This software reference computes ΔE with the cheap local-field identity
 (mathematically identical — the O(n²) cost is a *hardware* property that
-the architecture ledgers account for), counts the uphill proposals that
-trigger ``e^x`` evaluations, and uses a standard auto-tuned geometric
-cooling schedule.
+the architecture ledgers account for) on the serial Algorithm-1 loop of
+:mod:`repro.core.annealer`, supplying only the Metropolis accept step; it
+counts the uphill proposals that trigger ``e^x`` evaluations and uses a
+standard auto-tuned geometric cooling schedule (:class:`_MetropolisRule`,
+shared with the replica-batch engine).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.coupling import coupling_ops
-from repro.core.proposal import FlipSelector
-from repro.core.results import AnnealResult
+from repro.core.annealer import _SerialAnnealer
 from repro.core.schedule import GeometricSchedule, Schedule
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import (
-    check_count,
-    check_permutation,
-    check_spin_vector,
-)
+from repro.utils.validation import check_permutation
+
+#: Floor on the Metropolis temperature (``exp(-ΔE/T)`` at ``T = 0``).
+T_FLOOR = 1e-12
 
 
 def estimate_temperature_range(
@@ -66,10 +65,23 @@ def estimate_temperature_range(
     mean_up = float(positive.mean()) if positive.size else 1.0
     t_start = mean_up / np.log(1.0 / p_start)
     t_end = mean_up / np.log(1.0 / p_end)
-    return max(t_start, 1e-9), max(min(t_end, t_start), 1e-12)
+    return max(t_start, 1e-9), max(min(t_end, t_start), T_FLOOR)
 
 
-class DirectEAnnealer:
+class _MetropolisRule:
+    """The auto-tuned cooling of the serial and batch direct-E engines."""
+
+    def _build_schedule(self, iterations: int) -> Schedule:
+        schedule = self._given_schedule(iterations)
+        if schedule is not None:
+            return schedule
+        t_start, t_end = estimate_temperature_range(
+            self.model, seed=self._rng, permutation=self.permutation
+        )
+        return GeometricSchedule(iterations, t_start, t_end)
+
+
+class DirectEAnnealer(_MetropolisRule, _SerialAnnealer):
     """Metropolis simulated annealing with the direct-E transformation.
 
     Parameters
@@ -99,6 +111,7 @@ class DirectEAnnealer:
     """
 
     name = "direct-E SA annealer"
+    _counts_exponents = True
 
     def __init__(
         self,
@@ -112,118 +125,17 @@ class DirectEAnnealer:
         record_trace: bool = False,
         seed=None,
     ) -> None:
-        self.model = model
-        self.n = model.num_spins
-        self._ops = coupling_ops(model)
-        t = check_count("flips_per_iteration", flips_per_iteration)
-        if t > self.n:
-            raise ValueError(f"flips_per_iteration must be in [1, {self.n}]")
-        self.flips_per_iteration = t
-        self.schedule = schedule
-        self.proposal = proposal
-        self.iteration_hook = iteration_hook
-        self.permutation = permutation
-        if permutation is None:
-            self._fwd = self._bwd = None
-        else:
-            self._fwd, self._bwd = check_permutation(permutation, self.n)
-        self.track_best = bool(track_best)
-        self.record_trace = bool(record_trace)
-        self._rng = ensure_rng(seed)
-
-    def _build_schedule(self, iterations: int) -> Schedule:
-        if self.schedule is not None:
-            if self.schedule.iterations != iterations:
-                raise ValueError("schedule length does not match iterations")
-            return self.schedule
-        t_start, t_end = estimate_temperature_range(
-            self.model, seed=self._rng, permutation=self.permutation
+        super().__init__(
+            model, flips_per_iteration, schedule, proposal, iteration_hook,
+            permutation, track_best, record_trace, seed,
         )
-        return GeometricSchedule(iterations, t_start, t_end)
 
-    def run(self, iterations: int, initial=None) -> AnnealResult:
-        """Execute the SA run and return the result."""
-        iterations = check_count(
-            "iterations", iterations,
-            hint="the annealers need at least one proposal/accept step",
-        )
-        schedule = self._build_schedule(iterations)
+    def _accept_rule(self, schedule: Schedule, temperatures: np.ndarray):
         rng = self._rng
-        ops = self._ops
-        h = self.model.h
-        t = self.flips_per_iteration
-        has_fields = self.model.has_fields
+        floored = np.maximum(temperatures, T_FLOOR).tolist()
 
-        if initial is None:
-            sigma = self.model.random_configuration(rng).astype(np.float64)
-        else:
-            sigma = check_spin_vector(initial, self.n).astype(np.float64)
-        if self._bwd is not None:
-            # Both the random draw and a caller-supplied `initial` are in
-            # the original spin space; gather into the internal ordering.
-            sigma = sigma[self._bwd]
-        g = ops.local_fields(sigma)
-        energy = float(sigma @ g + h @ sigma) + self.model.offset
-        best_energy = energy
-        best_sigma = sigma.copy()
+        def accept(it, sigma, flips, sig_f, cross, field_term, delta_e) -> bool:
+            # Downhill moves need no draw; every uphill one costs one e^x.
+            return delta_e <= 0.0 or rng.random() < np.exp(-delta_e / floored[it])
 
-        accepted = 0
-        uphill_accepted = 0
-        uphill_proposals = 0
-        exponent_evaluations = 0
-        trace = np.empty(iterations, dtype=np.float64) if self.record_trace else None
-        best_trace = np.empty(iterations, dtype=np.float64) if self.record_trace else None
-        selector = FlipSelector(self.n, t, self.proposal, rng, index_map=self._fwd)
-
-        for it in range(iterations):
-            temperature = schedule.temperature(it)
-            flips = selector.next()
-            sig_f = sigma[flips]
-            cross = ops.cross_term(g, flips, sig_f)
-            field_term = float(-(h[flips] * sig_f).sum()) if has_fields else 0.0
-            delta_e = 4.0 * cross + 2.0 * field_term
-
-            if delta_e <= 0.0:
-                accept = True
-            else:
-                uphill_proposals += 1
-                exponent_evaluations += 1
-                accept = rng.random() < np.exp(-delta_e / max(temperature, 1e-12))
-            if accept:
-                accepted += 1
-                if delta_e > 0:
-                    uphill_accepted += 1
-                ops.update_fields(g, flips, sig_f)
-                sigma[flips] = -sig_f
-                energy += delta_e
-                if self.track_best and energy < best_energy:
-                    best_energy = energy
-                    best_sigma = sigma.copy()
-            if self.iteration_hook is not None:
-                self.iteration_hook(it, delta_e, accept, temperature)
-            if trace is not None:
-                trace[it] = energy
-                best_trace[it] = best_energy
-
-        if not self.track_best or energy < best_energy:
-            best_energy = energy
-            best_sigma = sigma.copy()
-        if self._fwd is not None:
-            # Hand configurations back in the caller's original ordering.
-            sigma = sigma[self._fwd]
-            best_sigma = best_sigma[self._fwd]
-        return AnnealResult(
-            solver=self.name,
-            sigma=sigma.astype(np.int8),
-            energy=energy,
-            best_sigma=best_sigma.astype(np.int8),
-            best_energy=best_energy,
-            iterations=iterations,
-            accepted=accepted,
-            uphill_accepted=uphill_accepted,
-            uphill_proposals=uphill_proposals,
-            exponent_evaluations=exponent_evaluations,
-            energy_trace=trace,
-            best_trace=best_trace,
-            metadata={"flips_per_iteration": t, "proposal": self.proposal},
-        )
+        return accept

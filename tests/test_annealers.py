@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    BatchDirectEAnnealer,
+    BatchInSituAnnealer,
     ConstantSchedule,
     DirectEAnnealer,
     InSituAnnealer,
@@ -104,6 +106,40 @@ class TestInSituAnnealer:
         with pytest.raises(ValueError):
             InSituAnnealer(small_model, acceptance_scale=-1.0)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (float("nan"), "must be finite"),
+            (float("inf"), "must be finite"),
+            (True, "a bool would silently act as 1"),
+            ("AUTO", "must be a number"),
+            (0.0, "'auto' or positive"),
+        ],
+    )
+    def test_acceptance_scale_rejects_non_finite_bool_and_strings(
+        self, small_model, bad, message
+    ):
+        """NaN used to run with 0 accepts, inf warned, True acted as 1.0."""
+        for build in (
+            lambda: InSituAnnealer(small_model, acceptance_scale=bad),
+            lambda: BatchInSituAnnealer(
+                small_model, replicas=2, acceptance_scale=bad
+            ),
+            lambda: solve_ising(
+                small_model, iterations=10, acceptance_scale=bad
+            ),
+        ):
+            with pytest.raises(ValueError, match=f"acceptance_scale .*{message}"):
+                build()
+
+    def test_acceptance_scale_accepts_auto_and_positive_reals(self, small_model):
+        assert InSituAnnealer(small_model, acceptance_scale=2).acceptance_scale == 2.0
+        assert InSituAnnealer(
+            small_model, acceptance_scale=np.float32(1.5)
+        ).acceptance_scale == 1.5
+        auto = BatchInSituAnnealer(small_model, replicas=2).acceptance_scale
+        assert auto == InSituAnnealer(small_model).acceptance_scale > 0
+
     def test_flip_count_validation(self, small_model):
         with pytest.raises(ValueError):
             InSituAnnealer(small_model, flips_per_iteration=0)
@@ -180,6 +216,33 @@ class TestMesa:
             MesaAnnealer(small_model, epoch_decay=1.5)
         with pytest.raises(ValueError):
             MesaAnnealer(small_model, epochs=5, seed=1).run(3)
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_epochs_must_be_a_count(self, small_model, bad):
+        """epochs=2.5 used to run 2 epochs and epochs=True one."""
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            MesaAnnealer(small_model, epochs=bad)
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            solve_ising(small_model, method="mesa", iterations=100, epochs=bad)
+        assert MesaAnnealer(small_model, epochs=3.0).epochs == 3
+
+
+class TestProposalValidation:
+    def test_bad_proposal_fails_at_construction_with_one_message(
+        self, small_model
+    ):
+        """Serial engines used to accept it and fail only inside run()."""
+        messages = set()
+        for build in (
+            lambda: InSituAnnealer(small_model, proposal="walk"),
+            lambda: DirectEAnnealer(small_model, proposal="walk"),
+            lambda: BatchInSituAnnealer(small_model, replicas=2, proposal="walk"),
+            lambda: BatchDirectEAnnealer(small_model, replicas=2, proposal="walk"),
+        ):
+            with pytest.raises(ValueError, match="unknown proposal 'walk'") as err:
+                build()
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
 
 class TestSolverApi:

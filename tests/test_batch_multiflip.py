@@ -29,6 +29,7 @@ from repro.core import (
     coupling_ops,
     solve_ising,
 )
+from repro.core.batch import _accept_insitu, _accept_metropolis
 from repro.core.reorder import reorder_permutation
 from repro.ising import IsingModel, MaxCutProblem, SparseIsingModel
 from repro.utils.rng import ensure_rng
@@ -214,10 +215,47 @@ class TestBitIdentityAgainstReferenceLoop:
             assert np.array_equal(permuted.final_sigmas, ref[3].astype(np.int8))
 
 
-class TestAcceptanceParity:
-    """Satellite audit: batch accept rules == sequential rules at boundaries.
+class TestCrossTermLaneAxis:
+    @relaxed
+    @given(
+        seed=st.integers(0, 10_000),
+        t=st.integers(1, 5),
+        k=st.integers(1, 3),
+        backend=st.sampled_from(["dense", "sparse"]),
+    )
+    def test_lane_axis_sums_each_flip_set(self, seed, t, k, backend):
+        """``(R, k, t)`` flip sets give ``(R, k)``: one cross term per set.
 
-    The oracles below are the sequential engines' accept expressions
+        The sets of a replica may overlap and the model is not block
+        diagonal, so each set must see only its own flips.
+        """
+        dense, sparse = dyadic_pair(seed)
+        ops = coupling_ops(dense if backend == "dense" else sparse)
+        rng = ensure_rng(seed)
+        R, n = 3, dense.num_spins
+        sigma = rng.choice(np.array([-1.0, 1.0]), size=(R, n))
+        g = ops.batch_local_fields(sigma)
+        idx = np.array([
+            [rng.choice(n, size=t, replace=False) for _ in range(k)]
+            for _ in range(R)
+        ])
+        sig_f = sigma[np.arange(R)[:, None, None], idx]
+        got = ops.batch_cross_term(g, idx, sig_f)
+        assert got.shape == (R, k)
+        for j in range(k):
+            flat = ops.batch_cross_term(g, idx[:, j], sig_f[:, j])
+            assert flat.shape == (R,)
+            assert np.array_equal(got[:, j], flat)
+            for r in range(R):
+                assert got[r, j] == ops.cross_term(g[r], idx[r, j], sig_f[r, j])
+
+
+class TestAcceptanceParity:
+    """The lane loop's accept rules == sequential rules at boundaries.
+
+    Each rule has one batch definition (``_accept_insitu`` /
+    ``_accept_metropolis``, shared by replica solves and stacked serve
+    runs).  The oracles below are the sequential engines' accept expressions
     verbatim (InSituAnnealer: ``e_inc <= 0 or e_inc <= u``;
     DirectEAnnealer: ``delta_e <= 0 or u < exp(-delta_e/T)``).  A drift in
     either comparison operator or in the factor/scale association flips
@@ -236,7 +274,7 @@ class TestAcceptanceParity:
         e_inc = cross * f_value * scale
         # u exactly at, just below, and far from the threshold
         u = np.array([0.0, 0.0, e_inc[2], np.nextafter(e_inc[3], -1.0), 1.0, 0.0])
-        got = engine._accept(cross, field, 4.0 * cross, temperature, u)
+        got = _accept_insitu(cross, field, f_value, scale, u)
         expected = [
             bool(e <= 0.0 or e <= uu) for e, uu in zip(e_inc, u)
         ]
@@ -259,20 +297,17 @@ class TestAcceptanceParity:
         field = rng.integers(-64, 65, size=512) / 64.0
         e_inc_seq = (cross + field / 2.0) * f_value * scale
         u = np.abs(e_inc_seq)  # exact threshold for every row
-        got = engine._accept(cross, field, 4.0 * cross + 2.0 * field, temperature, u)
+        got = _accept_insitu(cross, field, f_value, scale, u)
         expected = (e_inc_seq <= 0.0) | (e_inc_seq <= u)
         assert np.array_equal(got, expected)
 
-    def test_direct_e_boundaries(self, small_model):
-        engine = BatchDirectEAnnealer(small_model, replicas=1, seed=0)
+    def test_direct_e_boundaries(self):
         temperature = 0.8
         delta_e = np.array([-2.0, 0.0, 1.0, 1.0, 1.0])
         threshold = float(np.exp(-1.0 / temperature))
         u = np.array([1.0 - 1e-12, 1.0 - 1e-12, threshold,
                       np.nextafter(threshold, 0.0), 0.0])
-        got = engine._accept(
-            delta_e / 4.0, np.zeros(5), delta_e, temperature, u
-        )
+        got = _accept_metropolis(delta_e, temperature, u)
         expected = [
             bool(d <= 0.0 or uu < np.exp(-d / max(temperature, 1e-12)))
             for d, uu in zip(delta_e, u)
