@@ -124,7 +124,8 @@ class _SerialAnnealer(_Engine):
     accept step ``accept(it, sigma, flips, sig_f, cross, field_term,
     delta_e) -> bool``; the step draws its own uniform from ``self._rng``
     only when it needs one.  ``_metadata_keys`` names the attributes
-    reported in the result's metadata.
+    reported in the result's metadata.  The constructor's defaults are
+    the direct-E baseline's (textbook Metropolis ``"random"`` proposals).
     """
 
     name = ""
@@ -133,8 +134,16 @@ class _SerialAnnealer(_Engine):
     _counts_exponents = False
 
     def __init__(
-        self, model, flips_per_iteration, schedule, proposal, iteration_hook,
-        permutation, track_best, record_trace, seed,
+        self,
+        model: IsingModel | SparseIsingModel,
+        flips_per_iteration: int = 1,
+        schedule: Schedule | None = None,
+        proposal: str = "random",
+        iteration_hook=None,
+        permutation=None,
+        track_best: bool = True,
+        record_trace: bool = False,
+        seed=None,
     ) -> None:
         self._init_engine(
             model, flips_per_iteration, schedule, proposal, permutation, seed

@@ -164,7 +164,7 @@ def _accept_insitu(cross, field_term, factor, scale, u) -> np.ndarray:
     scale``, exactly like the serial in-situ step, so decisions agree to
     the last ulp at the comparison boundary.
     """
-    e_inc = (cross + np.asarray(field_term) / 2.0) * factor * scale
+    e_inc = (cross + field_term / 2.0) * factor * scale
     return (e_inc <= 0.0) | (e_inc <= u)
 
 
@@ -307,14 +307,21 @@ class _BatchEngine(_Engine):
     Subclasses provide ``method``, ``_build_schedule`` and
     ``_lane_terms(temperatures)`` — the schedule-derived accept
     parameters of their rule; everything else (validation, the draw
-    order, state, proposals, permutation mapping) is common.
+    order, state, proposals, permutation mapping) is common.  The
+    constructor's defaults are the direct-E baseline's.
     """
 
     method = ""
 
-    def _init_batch(
-        self, model, replicas, flips_per_iteration, schedule, proposal,
-        permutation, seed,
+    def __init__(
+        self,
+        model: IsingModel | SparseIsingModel,
+        replicas: int,
+        flips_per_iteration: int = 1,
+        schedule: Schedule | None = None,
+        proposal: str = "random",
+        permutation=None,
+        seed=None,
     ) -> None:
         self.replicas = check_count("replicas", replicas)
         self._init_engine(
@@ -453,7 +460,7 @@ class BatchInSituAnnealer(_InSituRule, _BatchEngine):
         permutation=None,
         seed=None,
     ) -> None:
-        self._init_batch(
+        super().__init__(
             model, replicas, flips_per_iteration, schedule, proposal,
             permutation, seed,
         )
@@ -476,21 +483,6 @@ class BatchDirectEAnnealer(_MetropolisRule, _BatchEngine):
     """
 
     method = "sa"
-
-    def __init__(
-        self,
-        model: IsingModel | SparseIsingModel,
-        replicas: int,
-        flips_per_iteration: int = 1,
-        schedule: Schedule | None = None,
-        proposal: str = "random",
-        permutation=None,
-        seed=None,
-    ) -> None:
-        self._init_batch(
-            model, replicas, flips_per_iteration, schedule, proposal,
-            permutation, seed,
-        )
 
     def _lane_terms(self, temperatures: np.ndarray) -> dict:
         return {"temperatures": np.maximum(temperatures, T_FLOOR)}

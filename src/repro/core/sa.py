@@ -113,23 +113,6 @@ class DirectEAnnealer(_MetropolisRule, _SerialAnnealer):
     name = "direct-E SA annealer"
     _counts_exponents = True
 
-    def __init__(
-        self,
-        model: IsingModel | SparseIsingModel,
-        flips_per_iteration: int = 1,
-        schedule: Schedule | None = None,
-        proposal: str = "random",
-        iteration_hook=None,
-        permutation=None,
-        track_best: bool = True,
-        record_trace: bool = False,
-        seed=None,
-    ) -> None:
-        super().__init__(
-            model, flips_per_iteration, schedule, proposal, iteration_hook,
-            permutation, track_best, record_trace, seed,
-        )
-
     def _accept_rule(self, schedule: Schedule, temperatures: np.ndarray):
         rng = self._rng
         floored = np.maximum(temperatures, T_FLOOR).tolist()
