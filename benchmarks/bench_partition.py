@@ -127,13 +127,15 @@ def test_partition_beats_rcm_on_clustered_instance(capsys):
 
     tracemalloc.start()
     with _forbid_densification():
-        build_start = time.perf_counter()
+        partition_start = time.perf_counter()
         partitioning = partition_model(model, BENCH_TILE)
+        partition_time = time.perf_counter() - partition_start
+        program_start = time.perf_counter()
         machine = InSituCimAnnealer(
             model, tile_size=BENCH_TILE,
             permutation=partitioning.to_permutation(), seed=SEED,
         )
-        build_time = time.perf_counter() - build_start
+        program_time = time.perf_counter() - program_start
         solve_start = time.perf_counter()
         part_out = _run(machine, BENCH_ITERS)
         solve_time = time.perf_counter() - solve_start
@@ -172,7 +174,8 @@ def test_partition_beats_rcm_on_clustered_instance(capsys):
             ("tiles planted-oracle layout", f"{oracle_tiles}"),
             ("partition edge cut / balance",
              f"{partitioning.edge_cut:g} / {partitioning.balance:.3f}"),
-            ("partition + program time", f"{build_time:.2f} s"),
+            ("partition_model time", f"{partition_time:.2f} s"),
+            ("permute + program time", f"{program_time:.2f} s"),
             (f"solve time ({BENCH_ITERS} iters)", f"{solve_time:.2f} s"),
             ("best cut", f"{best_cut:g}"),
             ("partition ≡ oracle trajectory",

@@ -35,6 +35,12 @@ The partitioner is the classic multilevel scheme, pure numpy over the
    finest level a rebalancing sweep restores the *exact* block sizes the
    tile grid requires.
 
+Gains are scored in batches: the vertices requeued after a move (or the
+whole boundary) are scored against one state in one CSR gather and one
+array pass, so numpy's per-call overhead is paid per batch, not per
+vertex and target.  The block-pair counts are a dense symmetric
+``(k, k)`` matrix: ``k²`` integers, 0.3 MB at 51,200 spins / tile 256.
+
 The result is a :class:`Partitioning` (block assignment, edge cut,
 balance, exact active-tile count) whose :meth:`~Partitioning.
 to_permutation` exports a block-contiguous
@@ -54,7 +60,7 @@ import heapq
 import numpy as np
 
 from repro.core.reorder import Permutation, _bandwidth_of
-from repro.utils.validation import check_count
+from repro.utils.validation import check_count, check_integer_array
 
 #: Stop coarsening once the graph has at most this many vertices per block.
 COARSEN_VERTICES_PER_BLOCK = 8
@@ -310,89 +316,37 @@ class _GainBuckets:
             self._buckets.pop(gain, None)
         return None
 
+    def push_moves(
+        self, stamp: np.ndarray, vertices: np.ndarray, gains: np.ndarray, targets: np.ndarray
+    ) -> None:
+        """Re-stamp each vertex in the caller's order and queue its move
+        (target ≥ 0); the order fixes the LIFO order within a bucket."""
+        for v, gain, target in zip(vertices.tolist(), gains.tolist(), targets.tolist()):
+            stamp[v] += 1
+            if target >= 0:
+                self.push(gain, v, target, int(stamp[v]))
+
 
 def _pair_counts(
     indptr: np.ndarray,
     indices: np.ndarray,
     assign: np.ndarray,
     k: int,
-) -> dict[tuple[int, int], int]:
-    """Edge count per unordered block pair — the active-tile bookkeeping.
+) -> np.ndarray:
+    """Coupling counts per block pair — the active-tile bookkeeping.
 
-    ``M[(a, b)]`` (``a <= b``) is the number of couplings between blocks
-    ``a`` and ``b``; a pair is an active tile pair exactly while its
-    count is positive.  Kept as a dict so the cost stays O(active pairs),
-    never O(k²).
+    ``M[a, b]`` counts the stored adjacency entries (both triangles) from
+    block ``a`` to block ``b``: off the diagonal that is the number of
+    couplings between the two blocks, on it twice a block's internal
+    count.  A pair is an active tile pair exactly while its count is
+    positive.  The matrix is dense and symmetric, ``k²`` integers — 0.3 MB
+    at 51,200 spins / tile 256 (``k = 200``) — so scoring and applying a
+    move are array indexing, never a walk over pairs.
     """
     n = assign.shape[0]
     rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
-    half = rows < indices  # each undirected coupling once
-    a = assign[rows[half]]
-    b = assign[indices[half]]
-    keys = np.minimum(a, b) * k + np.maximum(a, b)
-    uniq, counts = np.unique(keys, return_counts=True)
-    return {
-        (int(q) // k, int(q) % k): int(c) for q, c in zip(uniq, counts)
-    }
-
-
-def _vertex_conn(
-    v: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    assign: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(blocks, counts, weight_sums)`` of v's neighbourhood by block.
-
-    Two bincount scatters over the vertex's neighbour list: O(degree + k)
-    with a small constant — the fastest form for the realistic regime
-    where the block count ``k`` is at most a few thousand (tile sides
-    ≥ 64 at the 100k-node scale).
-    """
-    lo, hi = indptr[v], indptr[v + 1]
-    blocks = assign[indices[lo:hi]]
-    cnt = np.bincount(blocks, minlength=k)
-    wsum = np.bincount(blocks, weights=weights[lo:hi], minlength=k)
-    uniq = np.flatnonzero(cnt)
-    return uniq, cnt[uniq], wsum[uniq]
-
-
-def _tile_delta(
-    own: int,
-    target: int,
-    nb_blocks: np.ndarray,
-    nb_counts: np.ndarray,
-    M: dict[tuple[int, int], int],
-) -> int:
-    """Active-tile gain of moving a vertex ``own`` → ``target``.
-
-    ``nb_blocks``/``nb_counts`` describe the vertex's neighbour blocks;
-    the move shifts every incident coupling from an ``(own, D)`` pair to
-    a ``(target, D)`` pair.  The gain is the number of tile slots whose
-    pair count drops to zero minus the number newly raised from zero
-    (off-diagonal pairs weigh 2 — both triangles are programmed).
-    """
-    delta: dict[tuple[int, int], int] = {}
-    for D, c in zip(nb_blocks, nb_counts):
-        D, c = int(D), int(c)
-        ka = (own, D) if own <= D else (D, own)
-        kb = (target, D) if target <= D else (D, target)
-        delta[ka] = delta.get(ka, 0) - c
-        delta[kb] = delta.get(kb, 0) + c
-    gain = 0
-    for key, d in delta.items():
-        if d == 0:
-            continue
-        before = M.get(key, 0)
-        after = before + d
-        weight = 1 if key[0] == key[1] else 2
-        if before > 0 and after == 0:
-            gain += weight
-        elif before == 0 and after > 0:
-            gain -= weight
-    return gain
+    pairs = assign[rows] * k + assign[indices]
+    return np.bincount(pairs, minlength=k * k).reshape(k, k)
 
 
 def _apply_move(
@@ -401,28 +355,24 @@ def _apply_move(
     indptr: np.ndarray,
     indices: np.ndarray,
     assign: np.ndarray,
-    M: dict[tuple[int, int], int],
+    M: np.ndarray,
 ) -> None:
     """Reassign ``v`` to ``target`` and keep the pair counts exact.
 
-    Must be called *before* mutating ``assign[v]`` elsewhere; applying the
-    reverse move (in reverse order) restores ``M`` bit for bit, which is
-    what the FM rollback relies on.
+    v's couplings, counted by neighbour block, leave row and column
+    ``own`` and join row and column ``target`` (the diagonal takes both
+    halves, matching its doubled count).  Applying the reverse move (in
+    reverse order) restores ``M`` bit for bit, which is what the FM
+    rollback relies on.
     """
     own = int(assign[v])
-    lo, hi = indptr[v], indptr[v + 1]
-    blocks = assign[indices[lo:hi]]
-    uniq, counts = np.unique(blocks, return_counts=True)
-    for D, c in zip(uniq, counts):
-        D, c = int(D), int(c)
-        ka = (own, D) if own <= D else (D, own)
-        kb = (target, D) if target <= D else (D, target)
-        M[ka] = M.get(ka, 0) - c
-        if M[ka] == 0:
-            del M[ka]
-        M[kb] = M.get(kb, 0) + c
-        if M[kb] == 0:
-            del M[kb]
+    per_block = np.bincount(
+        assign[indices[indptr[v]:indptr[v + 1]]], minlength=M.shape[0]
+    )
+    M[own] -= per_block
+    M[:, own] -= per_block
+    M[target] += per_block
+    M[:, target] += per_block
     assign[v] = target
 
 
@@ -432,51 +382,152 @@ def _apply_move(
 _TIE_BREAK_SCALE = 0.5
 
 
-def _best_move(
-    v: int,
+def _neighbour_blocks(
+    U: np.ndarray,
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
     assign: np.ndarray,
-    vweights: np.ndarray,
-    block_weight: np.ndarray,
-    caps: np.ndarray,
-    M: dict[tuple[int, int], int],
-) -> tuple[float, int] | None:
-    """``(gain, target)`` of v's best feasible move, or ``None``.
+    k: int,
+) -> tuple[np.ndarray, ...]:
+    """``(keys, vertex, block, count, weight_sum)`` of U's neighbourhoods.
 
-    The primary gain is the *active-tile* reduction (:func:`_tile_delta`
-    — the tiled machine's true cost); the squashed edge-cut improvement
-    breaks ties, so of two tile-neutral moves the one that concentrates
-    coupling weight wins (those are the moves that later kill a pair).
-    Only boundary moves are produced (the target must hold at least one
-    of v's neighbours) and only into blocks with spare capacity; the
-    lowest block id wins residual ties.
+    One CSR gather over all of ``U``: an entry per (vertex, neighbour
+    block), sorted by key ``g·k + block`` (``g`` the vertex's position in
+    ``U``), plus a zero-count entry for each vertex's own block when no
+    neighbour shares it — so every vertex has exactly one own-block entry.
+    Weight sums accumulate in CSR order, exactly as a per-vertex
+    ``bincount`` would.
     """
-    if indptr[v] == indptr[v + 1]:
-        return None
-    nb_blocks, nb_counts, nb_wsums = _vertex_conn(
-        v, indptr, indices, weights, assign, block_weight.shape[0]
+    m = U.shape[0]
+    lo = indptr[U]
+    lens = indptr[U + 1] - lo
+    pos = np.arange(lens.sum()) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+    keys, inv = np.unique(
+        np.concatenate([
+            np.repeat(np.arange(m), lens) * k + assign[indices[pos]],
+            np.arange(m) * k + assign[U],
+        ]),
+        return_inverse=True,
     )
-    own = int(assign[v])
-    own_pos = np.searchsorted(nb_blocks, own)
-    w_own = (
-        float(nb_wsums[own_pos])
-        if own_pos < nb_blocks.size and nb_blocks[own_pos] == own
-        else 0.0
+    inv = inv[:pos.shape[0]]
+    count = np.bincount(inv, minlength=keys.shape[0])
+    wsum = np.bincount(inv, weights=weights[pos], minlength=keys.shape[0])
+    return (keys, *np.divmod(keys, k), count, wsum)
+
+
+def _move_gains(
+    U: np.ndarray,
+    cand: np.ndarray,
+    target: np.ndarray,
+    blocks: tuple[np.ndarray, ...],
+    assign: np.ndarray,
+    M: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(tiles, tie)`` of moving ``U[cand[i]]`` into block ``target[i]``.
+
+    ``blocks`` is :func:`_neighbour_blocks` of ``U``.  The move shifts
+    each coupling from an ``(own, D)`` pair to a ``(target, D)`` pair;
+    ``tiles`` counts tile slots emptied minus slots filled (off-diagonal
+    pairs weigh 2 — both triangles are programmed).  With ``c_D`` the
+    vertex's couplings into block ``D``: ``(own, D)`` empties (+2) when
+    ``M[own, D] == c_D`` and ``(target, D)`` fills (−2) when
+    ``M[target, D] == 0`` (``D ∉ {own, target}``); ``(own, own)``
+    empties (+1), ``(target, target)`` fills (−1); and ``(own, target)``
+    loses ``c_target`` and gains ``c_own``.  Counting fills over *all*
+    the vertex's blocks (its own is always listed) adds a −2 exactly when
+    ``(own, target)`` starts empty, which folds that slot into one +2
+    when it ends empty.  ``tie`` is the squashed edge-cut improvement.
+    """
+    keys, vertex, block, count, wsum = blocks
+    k = M.shape[0]
+    own = assign[U]
+    own_e = own[vertex]
+    is_own = block == own_e
+    lost = ~is_own & (M[own_e, block] == count)
+    c_own, w_own = count[is_own], wsum[is_own]
+    base = 2 * np.bincount(vertex[lost], minlength=U.shape[0]) + (
+        (c_own > 0) & (M[own, own] == 2 * c_own)
     )
-    best: tuple[float, int] | None = None
-    for i, B in enumerate(nb_blocks):
-        B = int(B)
-        if B == own or block_weight[B] + vweights[v] > caps[B]:
-            continue
-        wgain = float(nb_wsums[i]) - w_own
-        gain = _tile_delta(own, B, nb_blocks, nb_counts, M) + (
-            _TIE_BREAK_SCALE * (wgain / (1.0 + abs(wgain)))
-        )
-        if best is None or gain > best[0]:
-            best = (gain, B)
-    return best
+
+    query = cand * k + target
+    at = np.minimum(np.searchsorted(keys, query), keys.shape[0] - 1)
+    hit = keys[at] == query
+    c_t = np.where(hit, count[at], 0)
+    before = M[own[cand], target]
+    # Each candidate against every block its vertex touches (own included).
+    start = np.searchsorted(keys, np.arange(U.shape[0] + 1) * k)
+    size = (start[1:] - start[:-1])[cand]
+    seg = np.cumsum(size) - size
+    D = block[np.arange(size.sum()) + np.repeat(start[cand] - seg, size)]
+    absent = np.add.reduceat(M[np.repeat(target, size), D] == 0, seg)
+    tiles = (
+        base[cand]
+        + 2 * ((before + c_own[cand] == c_t) - absent - (hit & (before == c_t)))
+        + (hit & (M[target, target] == 0))
+    )
+    wgain = np.where(hit, wsum[at], 0.0) - w_own[cand]
+    return tiles, _TIE_BREAK_SCALE * (wgain / (1.0 + np.abs(wgain)))
+
+
+def _best_moves(
+    U: np.ndarray,
+    need: np.ndarray,
+    room: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    assign: np.ndarray,
+    M: np.ndarray,
+    fallback: bool = False,
+    forced: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tiles, tie, target)`` of each vertex's best feasible move.
+
+    Every vertex of ``U`` is scored against the same state in one pass
+    (``target`` −1: no move).  The primary gain is the *active-tile*
+    reduction (the tiled machine's true cost); the squashed edge-cut
+    improvement breaks ties, so of two tile-neutral moves the one that
+    concentrates coupling weight wins (those are the moves that later
+    kill a pair).  Only boundary moves are produced — the target must
+    hold at least one of the vertex's neighbours — and only into blocks
+    whose ``room`` admits the vertex's ``need``; the lowest block id wins
+    residual ties.  With ``fallback`` a vertex without a feasible
+    neighbour block is offered the lowest-id block with room instead, so
+    the exact-size drain always progresses.  A vertex with
+    ``forced >= 0`` is scored for exactly that move.
+    """
+    m = U.shape[0]
+    tiles = np.zeros(m, dtype=np.int64)
+    tie = np.zeros(m)
+    best = np.full(m, -1, dtype=np.intp)
+    if m == 0:
+        return tiles, tie, best
+    blocks = _neighbour_blocks(U, indptr, indices, weights, assign, M.shape[0])
+    vertex, block = blocks[1], blocks[2]
+    ok = (block != assign[U][vertex]) & (need[vertex] <= room[block])
+    if forced is None:
+        cand, target = vertex[ok], block[ok]
+    else:
+        ok &= forced[vertex] < 0
+        pinned = np.flatnonzero(forced >= 0)
+        cand = np.concatenate([vertex[ok], pinned])
+        target = np.concatenate([block[ok], forced[pinned]])
+    if fallback:
+        lone = np.flatnonzero(np.bincount(cand, minlength=m) == 0)
+        spare = np.flatnonzero(room > 0)
+        if lone.size and spare.size:
+            cand = np.concatenate([cand, lone])
+            target = np.concatenate([target, np.full(lone.size, spare[0])])
+    if cand.size == 0:
+        return tiles, tie, best
+    c_tiles, c_tie = _move_gains(U, cand, target, blocks, assign, M)
+    order = np.lexsort((target, -(c_tiles + c_tie), cand))
+    first = order[np.concatenate([[True], cand[order[1:]] != cand[order[:-1]]])]
+    tiles[cand[first]] = c_tiles[first]
+    tie[cand[first]] = c_tie[first]
+    best[cand[first]] = target[first]
+    return tiles, tie, best
 
 
 def _fm_pass(
@@ -487,7 +538,7 @@ def _fm_pass(
     assign: np.ndarray,
     block_weight: np.ndarray,
     caps: np.ndarray,
-    M: dict[tuple[int, int], int],
+    M: np.ndarray,
 ) -> float:
     """One boundary Fiduccia–Mattheyses pass; returns the realised gain.
 
@@ -502,19 +553,20 @@ def _fm_pass(
     locked = np.zeros(n, dtype=bool)
     buckets = _GainBuckets()
 
-    def requeue(v: int) -> None:
-        move = _best_move(
-            v, indptr, indices, weights, assign, vweights, block_weight,
-            caps, M,
+    def score(
+        U: np.ndarray, forced: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _best_moves(
+            U, vweights[U], caps - block_weight, indptr, indices, weights,
+            assign, M, forced=forced,
         )
-        if move is not None:
-            buckets.push(move[0], v, move[1], int(stamp[v]))
 
     # Only boundary vertices can move; find them in one vectorised sweep
-    # instead of probing all n (interior vertices would all return None).
+    # instead of probing all n (interior vertices have no move).
     rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
-    for v in np.unique(rows[assign[rows] != assign[indices]]):
-        requeue(int(v))
+    U = np.unique(rows[assign[rows] != assign[indices]])
+    move_tiles, move_tie, targets = score(U)
+    buckets.push_moves(stamp, U, move_tiles + move_tie, targets)
     moves: list[tuple[int, int, int]] = []
     # Prefix quality is tracked lexicographically — tile gain first, the
     # edge-cut tie-break strictly second — so a run of tie-break-positive
@@ -534,43 +586,37 @@ def _fm_pass(
         if block_weight[target] + vweights[v] > caps[target]:
             # Target filled up since the push; the recomputed best move is
             # feasibility-checked, so this cannot spin on a full block.
-            stamp[v] += 1
-            requeue(v)
+            U = np.array([v])
+            move_tiles, move_tie, targets = score(U)
+            buckets.push_moves(stamp, U, move_tiles + move_tie, targets)
             continue
         frm = int(assign[v])
-        # The queued gain orders the pops but may be stale (pair counts
-        # shift under moves of non-adjacent vertices), so the prefix
-        # ledger books the delta recomputed against the *current* M —
-        # that keeps the rollback invariant exact.
-        nb_blocks, nb_counts, nb_wsums = _vertex_conn(
-            v, indptr, indices, weights, assign, block_weight.shape[0]
-        )
-        move_tiles = _tile_delta(frm, target, nb_blocks, nb_counts, M)
-        wgain = 0.0
-        for i, B in enumerate(nb_blocks):
-            if B == target:
-                wgain += float(nb_wsums[i])
-            elif B == frm:
-                wgain -= float(nb_wsums[i])
         _apply_move(v, target, indptr, indices, assign, M)
         block_weight[frm] -= vweights[v]
         block_weight[target] += vweights[v]
         locked[v] = True
         moves.append((v, frm, target))
-        tiles += move_tiles
-        tie += _TIE_BREAK_SCALE * (wgain / (1.0 + abs(wgain)))
+        # The mover's neighbours are rescored in one batch; the mover rides
+        # along forced back to ``frm``.  The queued gain orders the pops
+        # but may be stale (pair counts shift under moves of non-adjacent
+        # vertices), so the ledger books minus that move-back gain —
+        # exactly the realised delta — keeping the rollback invariant exact.
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        U = np.concatenate([[v], nbrs[~locked[nbrs]]])
+        forced = np.full(U.shape[0], -1, dtype=np.intp)
+        forced[0] = frm
+        move_tiles, move_tie, targets = score(U, forced)
+        tiles -= int(move_tiles[0])
+        tie -= float(move_tie[0])
         if tiles > best_tiles or (tiles == best_tiles and tie > best_tie):
             best_tiles = tiles
             best_tie = tie
             best_len = len(moves)
         if len(moves) - best_len > FM_STALL_LIMIT:
             break
-        lo, hi = indptr[v], indptr[v + 1]
-        for u in indices[lo:hi]:
-            if locked[u]:
-                continue
-            stamp[u] += 1
-            requeue(int(u))
+        buckets.push_moves(
+            stamp, U[1:], move_tiles[1:] + move_tie[1:], targets[1:]
+        )
     # Undo in reverse order so each reverse move sees the assignment state
     # it was originally applied under — that makes the pair-count rollback
     # exact.
@@ -581,68 +627,13 @@ def _fm_pass(
     return best_tiles + best_tie
 
 
-def _best_drain_move(
-    v: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    assign: np.ndarray,
-    sizes: np.ndarray,
-    targets: np.ndarray,
-    M: dict[tuple[int, int], int],
-) -> tuple[float, int] | None:
-    """Best over→under move for ``v``; ``None`` if its block isn't over-full.
-
-    Same gain as :func:`_best_move` (tile delta + squashed cut
-    tie-break), but targets are restricted to under-full blocks.  When no
-    under-full block touches ``v``'s neighbourhood, the lowest-id
-    under-full block is evaluated anyway — draining must always be able
-    to make progress.
-    """
-    own = int(assign[v])
-    if sizes[own] <= targets[own]:
-        return None
-    nb_blocks, nb_counts, nb_wsums = _vertex_conn(
-        v, indptr, indices, weights, assign, sizes.shape[0]
-    )
-    own_pos = np.searchsorted(nb_blocks, own)
-    w_own = (
-        float(nb_wsums[own_pos])
-        if own_pos < nb_blocks.size and nb_blocks[own_pos] == own
-        else 0.0
-    )
-    best: tuple[float, int] | None = None
-    for i, B in enumerate(nb_blocks):
-        B = int(B)
-        if B == own or sizes[B] >= targets[B]:
-            continue
-        wgain = float(nb_wsums[i]) - w_own
-        gain = _tile_delta(own, B, nb_blocks, nb_counts, M) + (
-            _TIE_BREAK_SCALE * (wgain / (1.0 + abs(wgain)))
-        )
-        if best is None or gain > best[0]:
-            best = (gain, B)
-    if best is None:
-        under = np.flatnonzero(sizes < targets)
-        if under.size == 0:
-            return None
-        B = int(under[0])
-        wgain = -w_own
-        best = (
-            _tile_delta(own, B, nb_blocks, nb_counts, M)
-            + _TIE_BREAK_SCALE * (wgain / (1.0 + abs(wgain))),
-            B,
-        )
-    return best
-
-
 def _rebalance_exact(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
     assign: np.ndarray,
     targets: np.ndarray,
-    M: dict[tuple[int, int], int],
+    M: np.ndarray,
 ) -> None:
     """Restore the exact block sizes the tile grid requires (finest level).
 
@@ -651,22 +642,32 @@ def _rebalance_exact(
     maximises, served from the same gain buckets, so a community whose
     blocks ended slightly over target slides its surplus into its *own*
     under-full partner block instead of scattering it across the grid.
-    Every move shrinks the total overflow by one, so the drain terminates
-    with ``sizes == targets`` exactly.
+    Only vertices of over-full blocks move, and only into under-full
+    blocks (the lowest-id one when none touches the vertex).  Every move
+    shrinks the total overflow by one, so the drain terminates with
+    ``sizes == targets`` exactly.
     """
     k = targets.shape[0]
     sizes = np.bincount(assign, minlength=k)
     n = assign.shape[0]
     stamp = np.zeros(n, dtype=np.int64)
+    buckets = _GainBuckets()
+
+    def requeue(U: np.ndarray) -> None:
+        gains = np.zeros(U.shape[0])
+        best = np.full(U.shape[0], -1, dtype=np.intp)
+        over = sizes[assign[U]] > targets[assign[U]]
+        tiles, tie, best[over] = _best_moves(
+            U[over], np.ones(int(over.sum()), dtype=np.intp), targets - sizes,
+            indptr, indices, weights, assign, M, fallback=True,
+        )
+        gains[over] = tiles + tie
+        buckets.push_moves(stamp, U, gains, best)
+
+    # Each round drains its queue empty, so one queue serves every round.
     while int(np.sum(np.maximum(sizes - targets, 0))) > 0:
-        buckets = _GainBuckets()
         moved = False
-        for v in np.flatnonzero(sizes[assign] > targets[assign]):
-            move = _best_drain_move(
-                int(v), indptr, indices, weights, assign, sizes, targets, M
-            )
-            if move is not None:
-                buckets.push(move[0], int(v), move[1], int(stamp[v]))
+        requeue(np.flatnonzero(sizes[assign] > targets[assign]))
         while True:
             entry = buckets.pop()
             if entry is None:
@@ -677,26 +678,13 @@ def _rebalance_exact(
             own = int(assign[v])
             if sizes[own] <= targets[own] or sizes[target] >= targets[target]:
                 # The world changed since the push — requeue afresh.
-                stamp[v] += 1
-                move = _best_drain_move(
-                    v, indptr, indices, weights, assign, sizes, targets, M
-                )
-                if move is not None:
-                    buckets.push(move[0], v, move[1], int(stamp[v]))
+                requeue(np.array([v]))
                 continue
             _apply_move(v, target, indptr, indices, assign, M)
             sizes[own] -= 1
             sizes[target] += 1
             moved = True
-            lo, hi = indptr[v], indptr[v + 1]
-            for u in indices[lo:hi]:
-                u = int(u)
-                stamp[u] += 1
-                move = _best_drain_move(
-                    u, indptr, indices, weights, assign, sizes, targets, M
-                )
-                if move is not None:
-                    buckets.push(move[0], u, move[1], int(stamp[u]))
+            requeue(indices[indptr[v]:indptr[v + 1]])
         if not moved:  # pragma: no cover - defensive; a move always exists
             break
 
@@ -711,7 +699,7 @@ class Partitioning:
     ----------
     assignment:
         Length-``n`` integer array mapping spin → block id in
-        ``[0, num_blocks)``.
+        ``[0, num_blocks)`` (fractional or bool ids are rejected).
     tile_size:
         Tile side the partition is sized to; ``num_blocks`` is
         ``ceil(n / tile_size)`` and every block except the last holds
@@ -732,7 +720,7 @@ class Partitioning:
         edge_cut: float,
         structure: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        assignment = np.asarray(assignment, dtype=np.intp)
+        assignment = check_integer_array("assignment", assignment)
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValueError("assignment must be a non-empty 1-D array")
         self.tile_size = check_count(
@@ -893,7 +881,7 @@ def partition_model(model, tile_size: int) -> Partitioning:
 
     # --- uncoarsen + refine --------------------------------------------
     chain = levels[::-1]
-    for level in [None] + chain:
+    for level in [None, *chain]:
         if level is not None:
             # Project onto the next finer graph: a fine vertex inherits
             # its coarse representative's block.

@@ -44,7 +44,9 @@ from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_choice,
     check_count,
+    check_finite,
     check_index,
+    check_integer_array,
     check_permutation,
     check_spin_vector,
     check_square_symmetric,
@@ -172,16 +174,18 @@ class SparseIsingModel:
         Off-diagonal entries are mirrored into both triangles; diagonal
         entries (``rows[k] == cols[k]``) are stored once.  Explicit zeros
         are dropped (they carry no energy and would skew the nonzero-median
-        acceptance-gain heuristic).
+        acceptance-gain heuristic).  Indices must be integers and values
+        finite; anything else raises ``ValueError`` naming the entry.
         """
         n = int(n)
         if n <= 0:
             raise ValueError("n must be positive")
-        r = np.atleast_1d(np.asarray(rows, dtype=np.intp))
-        c = np.atleast_1d(np.asarray(cols, dtype=np.intp))
+        r = np.atleast_1d(check_integer_array("rows", rows))
+        c = np.atleast_1d(check_integer_array("cols", cols))
         v = np.atleast_1d(np.asarray(values, dtype=np.float64))
         if not (r.shape == c.shape == v.shape) or r.ndim != 1:
             raise ValueError("rows, cols and values must be matching 1-D arrays")
+        check_finite("values", v)
         if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
             raise ValueError(f"coupling indices out of range [0, {n})")
         key = np.minimum(r, c) * n + np.maximum(r, c)

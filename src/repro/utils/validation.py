@@ -177,16 +177,61 @@ def check_spin_vector(sigma, n: int | None = None) -> np.ndarray:
     return arr.astype(np.int8, copy=False)
 
 
+def check_integer_array(name: str, values) -> np.ndarray:
+    """Validate an array of integer ids and return it as ``intp``.
+
+    A plain ``np.asarray(values, dtype=np.intp)`` silently truncates
+    fractional entries (0.5 → 0, 1.9 → 1) and reads a bool array as 0/1
+    ids; both raise ``ValueError`` here, naming the first offending
+    entry (flat index).  Integer-valued floats are accepted.
+    """
+    arr = np.asarray(values)
+    if arr.dtype == np.bool_:
+        first = f"; {name}[0] = {arr.flat[0].item()!r}" if arr.size else ""
+        raise ValueError(f"{name} must hold integers, got a bool array{first}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        try:
+            flt = arr.astype(np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{name} must hold integers, got dtype {arr.dtype}"
+            ) from None
+        bad = np.flatnonzero(~np.isfinite(flt) | (flt != np.trunc(flt)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"{name} must hold integers; {name}[{i}] = "
+                f"{arr.flat[i].item()!r}"
+            )
+        arr = flt
+    return arr.astype(np.intp, copy=False)
+
+
+def check_finite(name: str, values: np.ndarray) -> np.ndarray:
+    """Reject NaN/inf entries of a float array, naming the first one."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        at = np.unravel_index(int(bad[0]), values.shape)
+        raise ValueError(
+            f"{name} must be finite; {name}[{', '.join(map(str, at))}] = "
+            f"{float(values[at])!r}"
+        )
+    return values
+
+
 def check_square_symmetric(matrix, name: str = "J", atol: float = 1e-9) -> np.ndarray:
-    """Validate and return a square symmetric float matrix.
+    """Validate and return a square, finite, symmetric float matrix.
 
     The incremental-E identity (Eq. 9 of the paper) requires a symmetric
     coupling matrix; silently accepting an asymmetric one would make the
-    CiM result disagree with the direct energy difference.
+    CiM result disagree with the direct energy difference.  A NaN or inf
+    coupling is reported as such (it would otherwise fail — or pass — the
+    symmetry test for the wrong reason).
     """
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    check_finite(name, arr)
     if not np.allclose(arr, arr.T, atol=atol):
         raise ValueError(f"{name} must be symmetric (|J - J.T| <= {atol})")
     return arr

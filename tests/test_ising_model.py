@@ -25,6 +25,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="symmetric"):
             IsingModel(J)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_couplings(self, bad):
+        """inf used to pass; NaN failed with a misleading "symmetric"."""
+        J = np.array([[0.0, bad, 0.0], [bad, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"finite; couplings\[0, 1\]"):
+            IsingModel(J)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             IsingModel(np.zeros((2, 3)))

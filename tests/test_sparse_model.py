@@ -211,6 +211,25 @@ class TestConstructionAndSelection:
         with pytest.raises(ValueError, match="positive"):
             SparseIsingModel.from_edges(0, [], [], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_edges_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match=r"finite; values\[1\]"):
+            SparseIsingModel.from_edges(3, [0, 1], [1, 2], [1.0, bad])
+
+    def test_from_edges_rejects_fractional_indices(self):
+        """0.5 / 1.9 used to truncate silently to spins 0 / 1."""
+        with pytest.raises(ValueError, match=r"rows\[0\] = 0\.5"):
+            SparseIsingModel.from_edges(3, [0.5], [2], [1.0])
+        with pytest.raises(ValueError, match=r"cols\[1\] = 1\.9"):
+            SparseIsingModel.from_edges(3, [0, 0], [2, 1.9], [1.0, 1.0])
+        with pytest.raises(ValueError, match="bool array"):
+            SparseIsingModel.from_edges(3, np.array([False]), [2], [1.0])
+
+    def test_from_edges_accepts_integer_valued_floats(self):
+        via_floats = SparseIsingModel.from_edges(3, [0.0, 1.0], [1.0, 2.0], [1.0, -1.0])
+        via_ints = SparseIsingModel.from_edges(3, [0, 1], [1, 2], [1.0, -1.0])
+        assert np.array_equal(via_floats.csr_arrays()[1], via_ints.csr_arrays()[1])
+
     def test_explicit_zeros_dropped(self):
         m = SparseIsingModel.from_edges(4, [0, 1, 2], [1, 2, 3], [1.0, 0.0, 2.0])
         assert m.num_interactions == 2
