@@ -184,7 +184,11 @@ def _run_lanes(model, lanes, starts=None, fwd=None) -> list[BatchAnnealResult]:
     Every iteration advances the replica × lane tensors array-wide with
     per-(replica, lane) accept decisions; the lane axis exists only for
     ``k > 1``, so a single lane runs on plain ``(R, t)`` / ``(R,)``
-    tensors and snapshots whole replica rows.  Cross terms, field terms
+    tensors.  Best states are tracked lazily: the loop records each
+    (replica, lane)'s last improving iteration and an accept log, and the
+    state materialises the snapshots once at the end by undoing the flips
+    accepted after it (flip sets hold unique spins and lanes own disjoint
+    column blocks, so each undone spin toggles by parity).  Cross terms,
     and energies of a lane are computed exactly as in a lone run
     (cross-block couplings are structurally zero), so every lane's result
     is bit-identical to its own single-lane run.  ``fwd`` maps the single
@@ -195,8 +199,7 @@ def _run_lanes(model, lanes, starts=None, fwd=None) -> list[BatchAnnealResult]:
     stacked = starts is not None
     if not stacked:
         starts = np.zeros(1, dtype=np.intp)
-    stops = starts + np.array([lane.model.num_spins for lane in lanes], dtype=np.intp)
-    blocks = list(zip(starts, stops))
+    blocks = [(lo, lo + lane.model.num_spins) for lo, lane in zip(starts, lanes)]
     if stacked:
         # Union initial state: each lane's draw in its block, padding +1.
         sigma = np.ones((R, model.num_spins), dtype=np.float64)
@@ -224,7 +227,8 @@ def _run_lanes(model, lanes, starts=None, fwd=None) -> list[BatchAnnealResult]:
         for lane, (lo, hi) in zip(lanes, blocks)
     ])
     best_energy = energy.copy()
-    accepted = np.zeros(energy.shape, dtype=np.int64)
+    best_it = np.full(energy.shape, -1)  # -1: the initial state
+    accept_log = np.zeros((iterations,) + energy.shape, dtype=bool)
     # (iterations, R[, k], t) union-column proposals and (iterations,
     # R[, k]) uniforms; the first block starts at column 0.
     props = first.proposals if k == 1 else np.stack(
@@ -259,6 +263,7 @@ def _run_lanes(model, lanes, starts=None, fwd=None) -> list[BatchAnnealResult]:
             accept = _accept_insitu(cross, field, factors[it], scales, uniforms[it])
         else:
             accept = _accept_metropolis(delta, temperatures[it], uniforms[it])
+        accept_log[it] = accept
         if accept.any():
             acc = np.nonzero(accept)  # (replica[, lane]) index arrays
             cols = idx[acc]       # (A, t)
@@ -269,18 +274,18 @@ def _run_lanes(model, lanes, starts=None, fwd=None) -> list[BatchAnnealResult]:
             ops.batch_update_fields(g, acc[0], cols, vals)
             state.flip(acc[0], cols, vals)
             energy[acc] += delta[acc]
-            accepted[acc] += 1
             improved = energy[acc] < best_energy[acc]
             if improved.any():
                 imp = tuple(a[improved] for a in acc)
                 best_energy[imp] = energy[imp]
-                if k == 1:
-                    state.record_best(imp[0])
-                else:
-                    # A replica row holds k lanes: snapshot only the
-                    # improved lane's column block.
-                    state.record_best_blocks(imp[0], starts[imp[1]], stops[imp[1]])
+                best_it[imp] = it
 
+    # The best state is the final one with every flip accepted after the
+    # last improvement undone; one parity toggle per listed spin.
+    its = np.arange(iterations).reshape((-1,) + (1,) * energy.ndim)
+    undo = accept_log & (its > best_it)
+    state.record_best(np.nonzero(undo)[1], props[undo])
+    accepted = accept_log.sum(axis=0, dtype=np.int64)
     # Readouts hand configurations back in the caller's original
     # ordering (the state applies the forward permutation, if any).
     best_sigmas = state.best_sigmas(fwd)

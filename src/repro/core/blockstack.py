@@ -22,8 +22,9 @@ solo run, widened:
   by :meth:`~repro.core.coupling.SparseCouplingOps.batch_cross_term`
   (cross-block couplings are structurally zero, so each job's flip set
   sees exactly its solo contributions), field terms and energies per
-  job, and best-state snapshots of *column blocks*
-  (``record_best_blocks``) instead of whole replica rows.
+  job, and each job's best state tracked lazily per *(replica, job)* —
+  its last improving iteration — and materialised once after the run
+  by undoing the job's later accepted flips in its own column block.
 
 Every block is padded to a 64-spin boundary with isolated, never-proposed
 padding spins so the packed backend's word layout slices cleanly; the
@@ -57,8 +58,9 @@ from repro.utils.validation import check_choice, check_count
 #: MESA has no batch engine — those run solo (see ``repro.serve``).
 PACK_METHODS = tuple(_BATCH_ENGINES)
 
-#: Blocks are padded to this boundary so packed spin words never straddle
-#: two jobs (a word-granular best-snapshot then cannot leak across).
+#: Blocks are padded to this boundary so each job owns whole packed spin
+#: words: its XOR flips and popcount field reads never touch a word that
+#: holds another job's spins.
 BLOCK_ALIGN = 64
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ The simulated-bifurcation engines (:mod:`~repro.core.sb`) add
 tensor has a backend-chosen layout: ``make_batch_state`` returns the
 spin-state adapter (:class:`FloatBatchState` here, the bit-packed
 :class:`~repro.core.packed.PackedBatchState` on the packed backend) that
-gathers proposed spins, applies accepted flips and snapshots bests.
+gathers proposed spins, applies accepted flips and materialises bests.
 
 :func:`coupling_ops` wraps a model in the matching adapter:
 :class:`DenseCouplingOps` reproduces the seed's dense numpy expressions
@@ -44,32 +44,14 @@ from repro.ising.packed import PackedIsingModel
 from repro.ising.sparse import SparseIsingModel
 
 
-def _copy_row_ranges(dst, src, rows, starts, stops) -> None:
-    """``dst[rows[a], starts[a]:stops[a]] = src[...]`` for every ``a``, in one copy.
-
-    ``dst``/``src`` are C-contiguous 2-D arrays of one shape.  ``rows``
-    may repeat (several blocks of one row) as long as the ranges of a row
-    are disjoint, so the flat copy touches each destination element once.
-    """
-    widths = (stops - starts).astype(np.intp)
-    total = int(widths.sum())
-    if total == 0:
-        return
-    offsets = np.concatenate(([0], np.cumsum(widths)[:-1]))
-    flat = np.repeat(rows * src.shape[1] + starts - offsets, widths) + np.arange(total)
-    # Aliasing audited: both batch states build their spin tensors
-    # C-contiguous (the engine re-contiguates permutation gathers,
-    # pack_spin_rows fills np.zeros) and the best snapshot is a .copy().
-    dst.reshape(-1)[flat] = src.reshape(-1)[flat]  # repro-lint: disable=RPL004
-
-
 class FloatBatchState:
     """Replica spin state as the historical float ±1 ``(R, n)`` tensor.
 
     The batch engine's spin-state protocol: ``fields`` caches the
     ``(R, n)`` local fields, ``gather``/``flip`` read and toggle proposed
-    spins, ``record_best`` snapshots improved replicas, and the readout
-    methods return int8 configurations (optionally permutation-mapped).
+    spins, ``record_best`` materialises the best snapshots once per run,
+    and the readout methods return int8 configurations (optionally
+    permutation-mapped).
     Each operation is expression-for-expression the engine's historical
     inline code, so dense/sparse fixed-seed trajectories — and the golden
     rows pinned on them — are unchanged by the state abstraction.
@@ -80,7 +62,7 @@ class FloatBatchState:
         #: Cached ``(R, n)`` local fields ``g_r = J σ_r`` (C-contiguous
         #: per the batch_local_fields producer contract).
         self.fields = ops.batch_local_fields(sigma)
-        self._best = sigma.copy()
+        self._best: np.ndarray | None = None  # materialised by record_best
 
     def gather(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Current values of spins ``idx[r]`` per replica (±1.0 float)."""
@@ -90,21 +72,18 @@ class FloatBatchState:
         """Negate spins ``cols[a]`` of accepted replicas ``acc``."""
         self._sigma[acc[:, None], cols] = -vals
 
-    def record_best(self, improved: np.ndarray) -> None:
-        """Snapshot the current state of improved replicas."""
-        self._best[improved] = self._sigma[improved]
+    def record_best(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Materialise the best snapshots from the current spins.
 
-    def record_best_blocks(
-        self, rows: np.ndarray, starts: np.ndarray, stops: np.ndarray
-    ) -> None:
-        """Snapshot column ranges ``[starts[a], stops[a])`` of ``rows[a]``.
-
-        The block-stacked runner (:mod:`repro.core.blockstack`) packs many
-        independent jobs side by side in one replica row, so a best-state
-        improvement belongs to *one column block*, not the whole row —
-        :meth:`record_best` would overwrite other jobs' snapshots.
+        Spin ``cols[a]`` of replica ``rows[a]`` is negated once per
+        listing, so a spin listed twice keeps its current value.
         """
-        _copy_row_ranges(self._best, self._sigma, rows, starts, stops)
+        best = self._sigma.copy()
+        flat = (rows[:, None] * best.shape[1] + cols).ravel()
+        # multiply.at applies repeated indices once each (parity).
+        # Aliasing audited: best is a fresh C-contiguous .copy().
+        np.multiply.at(best.reshape(-1), flat, -1.0)  # repro-lint: disable=RPL004
+        self._best = best
 
     def _readout(self, sigma: np.ndarray, fwd: np.ndarray | None) -> np.ndarray:
         if fwd is not None:
@@ -117,13 +96,13 @@ class FloatBatchState:
 
     def best_sigmas(self, fwd: np.ndarray | None) -> np.ndarray:
         """The per-replica best snapshots as ``(R, n)`` int8."""
+        assert self._best is not None, "record_best materialises the snapshots"
         return self._readout(self._best, fwd)
 
     def memory_bytes(self) -> int:
         """Bytes held by the spin tensors and the field cache."""
-        return int(
-            self._sigma.nbytes + self._best.nbytes + self.fields.nbytes
-        )
+        best = 0 if self._best is None else self._best.nbytes
+        return int(self._sigma.nbytes + best + self.fields.nbytes)
 
 
 class DenseCouplingOps:

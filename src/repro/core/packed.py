@@ -14,12 +14,10 @@ and replaces the two places the full spin state is traversed:
   over bit-packed spin rows instead of a float ``bincount`` SpMV;
 * ``make_batch_state`` hands the batch engine a
   :class:`PackedBatchState` holding the replica spin tensor as uint64
-  words — flips become XOR masks and best-state snapshots copy word
-  rows, cutting the engine's per-iteration state traffic 64×.  (PR 4
-  profiling: at n=100k, R=100 the float engine spends ~6.5 of 8.4
-  seconds per 500 iterations on ``best_sigma[improved] = sigma[...]``
-  row copies and the float gathers around them, not in the coupling
-  kernels.)
+  words — flips become XOR masks and gathers read bits, cutting the
+  engine's per-iteration state traffic 64×; the best snapshot is
+  materialised once per run by XOR-ing the undone flips into a copy of
+  the final words.
 
 Both replacements compute exactly the floats the sparse kernels compute
 (every value is a small-integer multiple of the shared dyadic magnitude
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.coupling import SparseCouplingOps, _copy_row_ranges
+from repro.core.coupling import SparseCouplingOps
 from repro.ising.packed import (
     PackedIsingModel,
     pack_spin_rows,
@@ -39,6 +37,19 @@ from repro.ising.packed import (
 )
 
 _U64_ONE = np.uint64(1)
+
+
+def _toggle(words: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """XOR spin ``cols[a]`` of row ``rows[a]`` in a ``(R, W)`` word tensor."""
+    flat = (rows[:, None] * words.shape[1] + (cols >> 6)).ravel()
+    masks = (_U64_ONE << (cols & 63).astype(np.uint64)).ravel()
+    # XOR accumulates duplicate indices correctly under ufunc.at (unlike
+    # fancy assignment), so two toggled spins landing in the same word
+    # both toggle, and a spin listed twice toggles back.  Aliasing
+    # audited: both callers pass a C-contiguous tensor (pack_spin_rows
+    # fills np.zeros in place; the best snapshot is a .copy()), so
+    # reshape(-1) is a view.
+    np.bitwise_xor.at(words.reshape(-1), flat, masks)  # repro-lint: disable=RPL004
 
 
 class PackedBatchState:
@@ -49,14 +60,13 @@ class PackedBatchState:
     ``fields`` is the cached ``(R, n)`` float local-field tensor,
     ``gather`` reads proposed spins (as ±1.0 float64, the exact values
     the float state would hand over), ``flip`` toggles accepted spins
-    with XOR masks, ``record_best`` snapshots improved replicas by
-    copying word rows (64× less traffic than float rows), and the
-    readout methods unpack to the engine's int8 contract.
+    with XOR masks, ``record_best`` materialises the best snapshots with
+    the same XOR, and the readout methods unpack to the engine's int8
+    contract.
     """
 
     def __init__(self, model: PackedIsingModel, sigma: np.ndarray) -> None:
         self._n = int(sigma.shape[1])
-        self._num_words = model.num_spin_words
         self._words = pack_spin_rows(sigma)
         replicas = sigma.shape[0]
         fields = np.empty((replicas, self._n), dtype=np.float64)
@@ -66,7 +76,7 @@ class PackedBatchState:
         #: the engine hands this to the inherited float field-update
         #: kernels, whose values are exact multiples of the dyadic scale).
         self.fields = fields
-        self._best = self._words.copy()
+        self._best: np.ndarray | None = None  # materialised by record_best
 
     def gather(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Current values of spins ``idx[r]`` per replica, as ±1.0 float."""
@@ -83,33 +93,17 @@ class PackedBatchState:
         current value, which is exactly the flip semantics.
         """
         del vals
-        flat = (acc[:, None] * self._num_words + (cols >> 6)).ravel()
-        masks = (_U64_ONE << (cols & 63).astype(np.uint64)).ravel()
-        # XOR accumulates duplicate indices correctly under ufunc.at
-        # (unlike fancy assignment), so two flipped spins landing in the
-        # same word both toggle.  Aliasing audited: _words is produced by
-        # pack_spin_rows (np.zeros + in-place |=), which is C-contiguous
-        # by construction, so reshape(-1) is a view of the state tensor.
-        np.bitwise_xor.at(self._words.reshape(-1), flat, masks)  # repro-lint: disable=RPL004
+        _toggle(self._words, acc, cols)
 
-    def record_best(self, improved: np.ndarray) -> None:
-        """Snapshot the current state of improved replicas (word rows)."""
-        self._best[improved] = self._words[improved]
+    def record_best(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Materialise the best snapshots from the current words.
 
-    def record_best_blocks(
-        self, rows: np.ndarray, starts: np.ndarray, stops: np.ndarray
-    ) -> None:
-        """Snapshot column ranges ``[starts[a], stops[a])`` of ``rows[a]``.
-
-        Word-granular twin of
-        :meth:`~repro.core.coupling.FloatBatchState.record_best_blocks`:
-        the covered word range ``[starts >> 6, ceil(stops / 64))`` is
-        copied, so callers must hand in ranges whose word cover does not
-        cross into a neighbouring block — the block-stacked union pads
-        every block to a 64-spin boundary for exactly this reason (the
-        spill-over columns are the block's own padding spins).
+        Same parity contract as
+        :meth:`~repro.core.coupling.FloatBatchState.record_best`, by XOR.
         """
-        _copy_row_ranges(self._best, self._words, rows, starts >> 6, (stops + 63) >> 6)
+        best = self._words.copy()
+        _toggle(best, rows, cols)
+        self._best = best
 
     def _readout(self, words: np.ndarray, fwd: np.ndarray | None) -> np.ndarray:
         sigma = unpack_spin_rows(words, self._n)
@@ -121,11 +115,13 @@ class PackedBatchState:
 
     def best_sigmas(self, fwd: np.ndarray | None) -> np.ndarray:
         """Unpack the per-replica best snapshots to ``(R, n)`` int8."""
+        assert self._best is not None, "record_best materialises the snapshots"
         return self._readout(self._best, fwd)
 
     def memory_bytes(self) -> int:
         """Bytes held by the packed spin tensors and the field cache."""
-        return int(self._words.nbytes + self._best.nbytes + self.fields.nbytes)
+        best = 0 if self._best is None else self._best.nbytes
+        return int(self._words.nbytes + best + self.fields.nbytes)
 
 
 class PackedCouplingOps(SparseCouplingOps):

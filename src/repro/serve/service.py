@@ -42,6 +42,14 @@ from repro.utils.validation import check_count, check_real
 _STOP = object()
 
 
+def _run_alone(lane):
+    """One lane's stacked run, or the exception it raised."""
+    try:
+        return run_stacked([lane])[0]
+    except Exception as exc:  # noqa: BLE001 — reported per job
+        return exc
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Validated service knobs; build via :func:`service_config`."""
@@ -118,6 +126,7 @@ class SolverService:
         self._packed_jobs = 0
         self._solo_jobs = 0
         self._failed_jobs = 0
+        self._cancelled_jobs = 0
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -183,6 +192,7 @@ class SolverService:
         return {
             "jobs": self._jobs_done,
             "failed_jobs": self._failed_jobs,
+            "cancelled_jobs": self._cancelled_jobs,
             "batches": self._batches,
             "packed_jobs": self._packed_jobs,
             "solo_jobs": self._solo_jobs,
@@ -223,6 +233,13 @@ class SolverService:
                     stopping = True
                     break
                 batch.append(nxt)
+            # A job whose submitter was cancelled while it queued has
+            # nobody to hand a result to: drop it before it takes a run.
+            live = [(job, fut) for job, fut in batch if not fut.done()]
+            self._cancelled_jobs += len(batch) - len(live)
+            batch = live
+            if not batch:
+                continue
             jobs = [job for job, _ in batch]
             outcomes = await loop.run_in_executor(
                 self._executor, self._solve_batch, jobs
@@ -269,18 +286,23 @@ class SolverService:
                     outcomes[i] = exc
             if not lanes:
                 continue
+            size = len(lanes)
             try:
                 results = run_stacked(lanes)
-            except Exception as exc:  # noqa: BLE001 — reported per job
-                for i in lane_idxs:
-                    outcomes[i] = exc
-                continue
+            except Exception:  # noqa: BLE001 — retried lane by lane
+                # One bad lane must not fail its peers: rerun each lane
+                # alone (bit-identical by the stacking contract) and
+                # fail only the lanes that still raise.
+                results = [_run_alone(lane) for lane in lanes]
+                size = 1
             for i, res in zip(lane_idxs, results):
+                if isinstance(res, Exception):
+                    outcomes[i] = res
+                    continue
                 # A group that degenerated to one lane (peers failed
                 # compile, or a warm-started singleton) is not "packed".
                 outcomes[i] = self._as_result(
-                    jobs[i], res, packed=len(lanes) > 1,
-                    batch_size=len(lanes),
+                    jobs[i], res, packed=size > 1, batch_size=size,
                 )
         for i in solo:
             try:

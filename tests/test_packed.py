@@ -269,9 +269,16 @@ class TestFieldExactness:
         pstate.flip(acc, cols, vals)
         assert np.array_equal(fstate.final_sigmas(None), pstate.final_sigmas(None))
 
-        improved = np.array([True, False, True, False])
-        fstate.record_best(improved)
-        pstate.record_best(improved)
+        # Undo list: replica 0 toggles spins 5 and 30 once and spins 1
+        # and 9 twice (back to current); replica 2 toggles two spins of
+        # one word.
+        undo_rows = np.array([0, 0, 2, 0])
+        undo_cols = np.array([[5, 9], [9, 1], [3, 4], [1, 30]])
+        fstate.record_best(undo_rows, undo_cols)
+        pstate.record_best(undo_rows, undo_cols)
+        expect = fstate.final_sigmas(None)
+        expect[[0, 2, 2, 0], [5, 3, 4, 30]] *= -1
+        assert np.array_equal(fstate.best_sigmas(None), expect)
         fwd = np.arange(40)[::-1].copy()
         assert np.array_equal(fstate.best_sigmas(fwd), pstate.best_sigmas(fwd))
         assert pstate.memory_bytes() < fstate.memory_bytes()

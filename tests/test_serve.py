@@ -25,6 +25,7 @@ from repro.serve import (
     job_request,
     service_config,
 )
+from repro.serve import service as service_module
 from repro.serve.protocol import request, start_server
 from repro.serve.service import ServiceOverloadedError
 
@@ -216,6 +217,81 @@ class TestService:
                 await asyncio.gather(t1, t2)
 
         asyncio.run(run())
+
+    def test_failing_stack_retries_each_lane_alone(self, monkeypatch):
+        jobs = [
+            job_request(f"st-{i}", member(9 + i, 30 + i), method="sa",
+                        iterations=40, replicas=2, seed=60 + i)
+            for i in range(3)
+        ]
+        poisoned = jobs[1].model
+        real_run_stacked = service_module.run_stacked
+
+        def fragile_run_stacked(lanes):
+            if any(lane.model is poisoned for lane in lanes):
+                raise RuntimeError("lane st-1 cannot run")
+            return real_run_stacked(lanes)
+
+        monkeypatch.setattr(service_module, "run_stacked", fragile_run_stacked)
+
+        async def run():
+            async with SolverService(service_config(gather_window=0.05)) as svc:
+                outs = await asyncio.gather(
+                    *(svc.submit(j) for j in jobs), return_exceptions=True
+                )
+                return outs, svc.stats()
+
+        outs, stats = asyncio.run(run())
+        assert isinstance(outs[1], RuntimeError)
+        for i in (0, 2):
+            solo = solve_ising(
+                jobs[i].model, method="sa", iterations=40, seed=60 + i,
+                replicas=2,
+            )
+            assert outs[i].job_id == f"st-{i}"
+            assert np.array_equal(solo.best_sigmas, outs[i].best_sigmas)
+            assert np.array_equal(solo.final_sigmas, outs[i].final_sigmas)
+            assert not outs[i].packed and outs[i].batch_size == 1
+        assert stats["failed_jobs"] == 1
+        assert stats["solo_jobs"] == 2
+
+    def test_cancelled_queued_job_is_dropped(self):
+        jobs = [
+            job_request(f"c-{i}", member(8, i), method="sa", iterations=10,
+                        seed=i)
+            for i in range(2)
+        ]
+        solved = []
+
+        async def run():
+            gate = threading.Event()
+            svc = SolverService(service_config(gather_window=0.0))
+            solve_batch = svc._solve_batch
+
+            def gated(batch):
+                solved.extend(job.job_id for job in batch)
+                gate.wait(5)
+                return solve_batch(batch)
+
+            svc._solve_batch = gated
+            async with svc:
+                first = asyncio.ensure_future(svc.submit(jobs[0]))
+                while not solved:  # the scheduler is now blocked in the gate
+                    await asyncio.sleep(0.001)
+                second = asyncio.ensure_future(svc.submit(jobs[1]))
+                while svc.stats()["queue_depth"] == 0:
+                    await asyncio.sleep(0.001)
+                second.cancel()
+                gate.set()
+                await first
+            with pytest.raises(asyncio.CancelledError):
+                await second
+            return svc.stats()
+
+        stats = asyncio.run(run())
+        assert solved == ["c-0"]
+        assert stats["jobs"] == 1
+        assert stats["cancelled_jobs"] == 1
 
     def test_submit_outside_lifecycle_is_rejected(self):
         job = job_request("late", member(8, 1), iterations=10)
