@@ -19,7 +19,10 @@
   solo execution through a shared thread-safe
   :class:`~repro.core.plan.PlanCache`, so repeat instances skip
   compilation; the cache's hit/miss/eviction counters surface in
-  :meth:`SolverService.stats`.
+  :meth:`SolverService.stats`;
+* a stacked run that raises is retried lane by lane, so one bad lane
+  fails only its own job, and a job whose submitter was cancelled while
+  it queued is dropped before it takes a run.
 
 Either way the result handed back for a job is bit-identical to the solo
 ``solve_ising(model, method, iterations, seed=seed, replicas=…,
