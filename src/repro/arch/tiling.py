@@ -450,40 +450,32 @@ class TiledCrossbar:
         return self.variation.apply_read_noise(values, self._rng)
 
     def matvec(self, x, validate: bool = True) -> np.ndarray:
-        """Digitally-combined behavioral MVM ``Ĵ x`` over the tile grid.
+        """``Ĵ x`` for one input vector: the one-row :meth:`batch_matvec`."""
+        v = np.asarray(x, dtype=np.float64)
+        if validate and v.shape != (self.n,):
+            raise ValueError(f"input vector must have shape ({self.n},)")
+        return self.batch_matvec(v[None], validate=False)[0]
+
+    def batch_matvec(self, x, validate: bool = True) -> np.ndarray:
+        """Digitally-combined behavioral MVM: ``(R, n)`` products ``Ĵ x_r``.
 
         Every programmed tile evaluates its block's partial product
         ``Ĵ[r0:r1, c0:c1] · x[c0:c1]`` in parallel (read at
         ``V_BG^{max}``, where the shared-rail factor is exactly 1) and the
         partial sums are combined digitally per output row in row-major
         tile order — the extra adder-tree level of the sharded array.
-        O(tiles · s²) work, no dense ``(n, n)`` assembly.  For dyadic
+        The replica batch is time-multiplexed onto the same grid: each
+        tile multiplies every replica's column slice in one matmul.
+        O(tiles · R · s²) work, no dense ``(n, n)`` assembly.  For dyadic
         stored images and ±1 drives every partial sum is exact, so the
         result is bit-identical to :meth:`stored_model`'s CSR SpMV — which
         is what lets the simulated-bifurcation engines run on the tiled
-        machine without a separate golden.  The input is not restricted to
-        spins: bSB drives the array with continuous DAC levels.
+        machine (this is the ``matvec=`` hook
+        :class:`~repro.core.sb.SbEngine` consumes) without a separate
+        golden.  Inputs are not restricted to spins: bSB drives the array
+        with continuous DAC levels.
         """
         v = np.asarray(x, dtype=np.float64)
-        if validate and v.shape != (self.n,):
-            raise ValueError(f"input vector must have shape ({self.n},)")
-        out = np.zeros(self.n)
-        for p, (r0, r1), (c0, c1) in self._tiles_row_major():
-            out[r0:r1] += self._image[p, : c1 - c0, : r1 - r0].T @ v[c0:c1]
-        return out
-
-    def batch_matvec(self, x, validate: bool = True) -> np.ndarray:
-        """``(R, n)`` products ``Ĵ x_r``, one tile pass for all replicas.
-
-        The replica batch is time-multiplexed onto the same grid: each
-        tile's block multiplies every replica's column slice in one
-        matmul, partial sums combined digitally as in :meth:`matvec`.
-        This is the ``matvec=`` hook :class:`~repro.core.sb.SbEngine`
-        consumes on the tiled-machine path.
-        """
-        v = np.asarray(x, dtype=np.float64)
-        if v.ndim == 1:
-            return self.matvec(v, validate=validate)
         if validate and (v.ndim != 2 or v.shape[1] != self.n):
             raise ValueError(f"input batch must have shape (R, {self.n})")
         out = np.zeros(v.shape)

@@ -185,7 +185,7 @@ class _SerialAnnealer(_Engine):
             # Both the random draw and a caller-supplied `initial` are in
             # the original spin space; gather into the internal ordering.
             sigma = sigma[self._bwd]
-        g = ops.local_fields(sigma)
+        g = ops.batch_local_fields(sigma[None])[0]
         energy = float(sigma @ g + h @ sigma) + self.model.offset
         best_energy = energy
         best_sigma = sigma.copy()

@@ -3,24 +3,25 @@
 Algorithm 1 has two loops — the serial loop of :mod:`~repro.core.annealer`
 (in-situ, SA and, through SA, MESA) and the lane loop of
 :mod:`~repro.core.batch` (replica solves and block-stacked service runs).
-Each needs the same three operations on the coupling matrix, in a serial
-and a batch form, plus ``diag()`` for the self-coupling correction:
+Each coupling operation has one implementation per backend:
 
-* ``local_fields(σ)`` / ``batch_local_fields(Σ)`` — the cached state
-  ``g = J σ`` of one trajectory / of an ``(R, n)`` replica batch;
-* ``cross_term(g, F, σ_F)`` / ``batch_cross_term(G, F, Σ_F)`` — the
-  incremental-E core ``σ_rᵀ J σ_c`` from the cached fields; the batch
-  form takes ``(R, t)`` or ``(R, k, t)`` flip sets and sums over the
-  flip-set axis;
-* ``update_fields(g, F, σ_F)`` / ``batch_update_fields(G, rows, F, Σ_F)``
-  — the rank-``|F|`` in-place update after an accepted flip (one scatter
-  for every accepted replica).
+* ``batch_matvec(X)`` — the ``(R, n)`` products ``J x_r`` for arbitrary
+  real rows, never densifying (the simulated-bifurcation engines of
+  :mod:`~repro.core.sb`); ``batch_local_fields(Σ)`` is the same product
+  on spin rows, the cached field state ``g = J σ``;
+* ``batch_cross_term(G, F, Σ_F)`` — the incremental-E core ``σ_rᵀ J σ_c``
+  from the cached fields, for ``(R, t)`` or ``(R, k, t)`` flip sets,
+  summed over the flip-set axis;
+* ``batch_update_fields(G, rows, F, Σ_F)`` — the rank-``t`` in-place
+  update after an accepted flip, one scatter for every accepted replica.
 
-The simulated-bifurcation engines (:mod:`~repro.core.sb`) add
-``matvec(x)`` / ``batch_matvec(X)``, the plain product ``J x`` for
-*arbitrary real* inputs, never densifying.  The lane loop's replica spin
-tensor has a backend-chosen layout: ``make_batch_state`` returns the
-spin-state adapter (:class:`FloatBatchState` here, the bit-packed
+The serial loop builds its one field row with ``batch_local_fields`` and
+keeps only the per-iteration paths a single trajectory needs for speed:
+``cross_term`` (a scalar expression at ``t == 1``, row 0 of
+``batch_cross_term`` otherwise) and ``update_fields``.  ``diag()`` serves
+the self-coupling correction.  The lane loop's replica spin tensor
+has a backend-chosen layout: ``make_batch_state`` returns the spin-state
+adapter (:class:`FloatBatchState` here, the bit-packed
 :class:`~repro.core.packed.PackedBatchState` on the packed backend) that
 gathers proposed spins, applies accepted flips and materialises bests.
 
@@ -105,7 +106,35 @@ class FloatBatchState:
         return int(self._sigma.nbytes + best + self.fields.nbytes)
 
 
-class DenseCouplingOps:
+class _CouplingOps:
+    """What the dense and CSR adapters share: the serial cross term,
+    ``diag()``, the field cache and the float replica state."""
+
+    def diag(self) -> np.ndarray:
+        """``diag(J)`` as a dense vector."""
+        return self._diag
+
+    def batch_local_fields(self, sigma: np.ndarray) -> np.ndarray:
+        """``(R, n)`` local fields ``g_r = J σ_r`` (C-contiguous)."""
+        return self.batch_matvec(sigma)
+
+    def cross_term(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> float:
+        """``σ_rᵀ J σ_c`` of one trajectory from its cached local fields.
+
+        ``t == 1`` is the serial loop's scalar fast path; larger flip sets
+        are row 0 of :meth:`batch_cross_term`.
+        """
+        if flips.shape[0] == 1:
+            j0 = int(flips[0])
+            return float(-sig_f[0] * (g[j0] - self._diag[j0] * sig_f[0]))
+        return float(self.batch_cross_term(g[None], flips[None], sig_f[None])[0])
+
+    def make_batch_state(self, sigma: np.ndarray) -> FloatBatchState:
+        """Replica spin-state adapter for the batch engine (float layout)."""
+        return FloatBatchState(self, sigma)
+
+
+class DenseCouplingOps(_CouplingOps):
     """Coupling operations over a dense symmetric matrix (the seed's path)."""
 
     kind = "dense"
@@ -114,42 +143,13 @@ class DenseCouplingOps:
         self._J = model.J
         self._diag = np.diag(self._J).copy()
 
-    def diag(self) -> np.ndarray:
-        """``diag(J)`` as a dense vector."""
-        return self._diag
-
-    def local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``g = J σ`` (O(n²))."""
-        return self._J @ sigma
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``J x`` for an arbitrary real vector (O(n²)).
-
-        Unlike :meth:`local_fields` the input is not restricted to ±1 spin
-        vectors — the simulated-bifurcation engines drive this with
-        continuous positions (bSB) as well as sign readouts (dSB).
-        """
-        return self._J @ x
-
     def batch_matvec(self, x: np.ndarray) -> np.ndarray:
-        """``(R, n)`` products ``J x_r`` for a batch of real vectors."""
+        """``(R, n)`` products ``J x_r`` for a batch of real vectors (O(R·n²))."""
         return x @ self._J  # J symmetric, so the row-major product works
-
-    def cross_term(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> float:
-        """``σ_rᵀ J σ_c`` from the cached local fields (O(n·|F|))."""
-        if flips.shape[0] == 1:
-            j0 = int(flips[0])
-            return float(-sig_f[0] * (g[j0] - self._diag[j0] * sig_f[0]))
-        sub = self._J[np.ix_(flips, flips)] @ sig_f
-        return float(-(sig_f * (g[flips] - sub)).sum())
 
     def update_fields(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> None:
         """In-place ``g ← g − 2 J[:, F] σ_F`` after an accepted flip."""
         g -= 2.0 * (self._J[:, flips] @ sig_f)
-
-    def batch_local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``(R, n)`` local fields ``σ J`` for a replica batch."""
-        return sigma @ self._J  # J symmetric, so the row-major product works
 
     def batch_cross_term(
         self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
@@ -158,10 +158,11 @@ class DenseCouplingOps:
 
         ``idx`` and ``sig_f`` are ``(R, t)`` — replica ``r`` proposes the
         flip set ``idx[r]`` (unique indices) currently valued ``sig_f[r]``
-        — or ``(R, k, t)``, ``k`` flip sets per replica.  Same formula as
-        :meth:`cross_term` per flip set, evaluated array-wide and summed
-        over the flip-set axis: the result is ``(R,)`` or ``(R, k)``.  The
-        ``t == 1`` fast path reuses the cached diagonal.
+        — or ``(R, k, t)``, ``k`` flip sets per replica.  For each flipped
+        spin, the contribution of the *other* flipped spins of its set is
+        subtracted from the cached field; the sum runs over the flip-set
+        axis, so the result is ``(R,)`` or ``(R, k)``.  The ``t == 1``
+        fast path reuses the cached diagonal.
         """
         rows = np.arange(idx.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
         g_f = g[rows, idx]
@@ -181,14 +182,11 @@ class DenseCouplingOps:
         """Per-replica rank-``t`` field update for accepted replicas.
 
         ``rows`` (A,) are accepted replica indices; ``cols`` / ``vals`` are
-        ``(A, t)`` flip sets and pre-flip spin values (1-D accepted for the
-        legacy single-flip call shape).  Loops over the ``t`` flip slots —
-        each slot is one column gather per accepted replica, so memory
-        stays O(A·n) with no ``(n, A, t)`` intermediate.
+        ``(A, t)`` flip sets and pre-flip spin values.  Loops over the
+        ``t`` flip slots — each slot is one column gather per accepted
+        replica, so memory stays O(A·n) with no ``(n, A, t)``
+        intermediate.
         """
-        if cols.ndim == 1:
-            g[rows] -= 2.0 * (self._J[:, cols].T * vals[:, None])
-            return
         for k in range(cols.shape[1]):
             g[rows] -= 2.0 * (self._J[:, cols[:, k]].T * vals[:, k][:, None])
 
@@ -197,16 +195,12 @@ class DenseCouplingOps:
         n = self._J.shape[0]
         return np.abs(self._J[~np.eye(n, dtype=bool)])
 
-    def make_batch_state(self, sigma: np.ndarray) -> FloatBatchState:
-        """Replica spin-state adapter for the batch engine (float layout)."""
-        return FloatBatchState(self, sigma)
-
     def memory_bytes(self) -> int:
         """Bytes held by the coupling storage."""
         return int(self._J.nbytes)
 
 
-class SparseCouplingOps:
+class SparseCouplingOps(_CouplingOps):
     """Coupling operations over CSR storage: O(degree) per flipped spin."""
 
     kind = "sparse"
@@ -217,29 +211,25 @@ class SparseCouplingOps:
         self._diag = model.coupling_diagonal()
         self._n = model.num_spins
 
-    def diag(self) -> np.ndarray:
-        """``diag(J)`` as a dense vector."""
-        return self._diag
-
-    def local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``g = J σ`` (O(nnz))."""
-        return self._model._matvec(sigma)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``J x`` via the CSR ``bincount`` SpMV (O(nnz), no densification).
-
-        The kernel places no ±1 restriction on ``x``, so the SB engines'
-        continuous positions go through the same code path as spin
-        readouts; for dyadic couplings *and* dyadic inputs every partial
-        sum is exact and the result is bit-identical to the dense product.
-        """
-        return self._model._matvec(x)
-
     def batch_matvec(self, x: np.ndarray) -> np.ndarray:
-        """``(R, n)`` products ``J x_r`` per replica (O(R·nnz))."""
-        # Same per-replica bincount kernel (and C-order guarantee) as
-        # batch_local_fields — see _batch_local_fields_loop.
-        return self._batch_local_fields_loop(x)
+        """``(R, n)`` products ``J x_r``: one CSR ``bincount`` SpMV per row.
+
+        O(R·nnz), no densification, no ±1 restriction on ``x`` (the SB
+        engines drive it with continuous positions).  For dyadic couplings
+        and dyadic inputs every partial sum is exact, so the result is
+        bit-identical to the dense product.  The per-row loop keeps one
+        ``n``-vector and the shared CSR arrays cache-resident; a one-shot
+        segmented reduction over an ``(R, nnz)`` gather measured 3–7×
+        slower up to R=100 / n=10k.
+        """
+        # Explicit C order: zeros_like would inherit the layout of e.g. a
+        # permutation-gathered sigma ([:, bwd] returns F order), and an
+        # F-ordered g turns the reshape(-1) in batch_update_fields into a
+        # silent copy that drops the scatter-update.
+        g = np.zeros(x.shape, dtype=np.float64)
+        for r in range(x.shape[0]):
+            g[r] = self._model._matvec(x[r])
+        return g
 
     def _gather_rows(self, spins: np.ndarray):
         """Concatenated neighbour lists of ``spins`` without a Python loop.
@@ -258,121 +248,46 @@ class SparseCouplingOps:
         pos = np.repeat(starts - offsets, counts) + np.arange(total)
         return counts, self._indices[pos], self._data[pos]
 
-    def cross_term(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> float:
-        """``σ_rᵀ J σ_c`` from the cached local fields (O(Σ degree))."""
-        if flips.shape[0] == 1:
-            j0 = int(flips[0])
-            return float(-sig_f[0] * (g[j0] - self._diag[j0] * sig_f[0]))
-        # sub[k] = Σ_l J[f_k, f_l] σ_F[l]: intersect each flipped row's
-        # neighbour list with the flip set via binary search.
-        t = flips.shape[0]
-        order = np.argsort(flips)
-        sorted_flips = flips[order]
-        sub = np.zeros(t, dtype=np.float64)
-        for k in range(t):
-            lo, hi = self._indptr[flips[k]], self._indptr[flips[k] + 1]
-            nbr = self._indices[lo:hi]
-            loc = np.searchsorted(sorted_flips, nbr)
-            loc = np.minimum(loc, t - 1)
-            hit = sorted_flips[loc] == nbr
-            if hit.any():
-                sub[k] = self._data[lo:hi][hit] @ sig_f[order[loc[hit]]]
-        return float(-(sig_f * (g[flips] - sub)).sum())
-
     def update_fields(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> None:
         """In-place rank-``|F|`` field update touching only neighbours."""
         for j, s in zip(flips, sig_f):
             lo, hi = self._indptr[j], self._indptr[j + 1]
             g[self._indices[lo:hi]] -= 2.0 * (self._data[lo:hi] * s)
 
-    def batch_local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``(R, n)`` local fields for a replica batch (O(R·nnz)).
-
-        Dispatches to the per-replica ``bincount`` kernel.  Benchmarked
-        against the one-shot segmented reduction
-        (:meth:`batch_local_fields_reduction`,
-        ``benchmarks/bench_batch_fields.py``): the loop's cache-resident
-        per-replica working set (one ``n``-vector and the shared CSR
-        arrays) wins 3-7× at every measured size up to R=100 / n=10k,
-        because the reduction materialises — then re-reads — an
-        ``(R, nnz)`` intermediate that is pure extra memory traffic.
-        """
-        return self._batch_local_fields_loop(sigma)
-
-    def batch_local_fields_reduction(self, sigma: np.ndarray) -> np.ndarray:
-        """``(R, n)`` local fields via one segmented reduction.
-
-        A single prefix-sum difference over the ``(R, nnz)`` gather — no
-        Python-level replica loop.  Empty rows subtract equal prefix
-        values and come out exactly 0; for dyadic couplings every partial
-        sum is exact, so the result is bit-identical to the looped kernel
-        (asserted by the bench and the equivalence tests).  Kept as the
-        measured alternative: on current numpy/hardware the looped kernel
-        is faster, so :meth:`batch_local_fields` does not dispatch here.
-        """
-        if self._data.size == 0:
-            return np.zeros_like(sigma, dtype=np.float64)
-        contrib = sigma[:, self._indices] * self._data
-        prefix = np.zeros((sigma.shape[0], self._data.size + 1), dtype=np.float64)
-        np.cumsum(contrib, axis=1, out=prefix[:, 1:])
-        # ascontiguousarray: mixed basic+advanced indexing returns an
-        # F-ordered array, whose .reshape(-1) in batch_update_fields would
-        # silently copy instead of aliasing g.
-        return np.ascontiguousarray(
-            prefix[:, self._indptr[1:]] - prefix[:, self._indptr[:-1]]
-        )
-
-    def _batch_local_fields_loop(self, sigma: np.ndarray) -> np.ndarray:
-        """Per-replica bincount kernel (the measured-fastest path)."""
-        # Explicit C order: zeros_like would inherit the layout of e.g. a
-        # permutation-gathered sigma ([:, bwd] returns F order), and an
-        # F-ordered g turns the reshape(-1) in batch_update_fields into a
-        # silent copy that drops the scatter-update.
-        g = np.zeros(sigma.shape, dtype=np.float64)
-        for r in range(sigma.shape[0]):
-            g[r] = self._model._matvec(sigma[r])
-        return g
-
     def batch_cross_term(
         self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
     ) -> np.ndarray:
         """Cross terms for per-replica rank-``t`` flip sets.
 
-        Shapes as in :meth:`DenseCouplingOps.batch_cross_term`: ``(R, t)``
-        flip sets give ``(R,)``, ``(R, k, t)`` give ``(R, k)``.  Same
-        mathematics as :meth:`cross_term` per flip set: for each flipped
-        spin, the contribution of *other* flipped spins in the same set is
-        subtracted from the cached field.  The flip-set intersection runs
-        as one global binary search — each set is sorted and keyed by
-        ``set·n + spin``, so every gathered neighbour of every flipped spin
-        resolves against a single sorted key array.  O(Σ degree · log t)
-        time, O(Σ degree) memory; the coupling matrix is never densified.
+        Shapes and mathematics as in
+        :meth:`DenseCouplingOps.batch_cross_term`.  The flip-set
+        intersection runs as one global binary search — every flipped
+        spin is keyed by ``set·n + spin`` and the keys are sorted once, so
+        every gathered neighbour of every flipped spin resolves against a
+        single sorted key array.  O(Σ degree · log(R·t)) time, O(Σ degree)
+        memory; the coupling matrix is never densified.
         """
         t = idx.shape[-1]
         rows = np.arange(idx.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
         g_f = g[rows, idx]
         if t == 1:
             return (-(sig_f * (g_f - self._diag[idx] * sig_f))).sum(axis=-1)
-        sets = idx.reshape(-1, t)
-        num_sets = sets.shape[0]
-        order = np.argsort(sets, axis=1)
-        sorted_idx = np.take_along_axis(sets, order, axis=1)
-        sorted_sig = np.take_along_axis(sig_f.reshape(-1, t), order, axis=1).ravel()
-        keys = (np.arange(num_sets)[:, None] * self._n + sorted_idx).ravel()
-        counts, nbr, w = self._gather_rows(sets.ravel())
-        sub = np.zeros(num_sets * t, dtype=np.float64)
-        if nbr.size:
-            rep = np.repeat(np.repeat(np.arange(num_sets), t), counts)
-            nbr_keys = rep * self._n + nbr
-            loc = np.minimum(np.searchsorted(keys, nbr_keys), keys.size - 1)
-            hit = keys[loc] == nbr_keys
-            if hit.any():
-                seg = np.repeat(np.arange(num_sets * t), counts)
-                sub = np.bincount(
-                    seg[hit],
-                    weights=w[hit] * sorted_sig[loc[hit]],
-                    minlength=num_sets * t,
-                )
+        flat = idx.ravel()
+        size = flat.size
+        set_of = np.arange(size) // t
+        keys = set_of * self._n + flat
+        order = np.argsort(keys)
+        keys = keys[order]
+        counts, nbr, w = self._gather_rows(flat)
+        seg = np.repeat(np.arange(size), counts)
+        nbr_keys = set_of[seg] * self._n + nbr
+        loc = np.minimum(np.searchsorted(keys, nbr_keys), size - 1)
+        hit = keys[loc] == nbr_keys
+        sub = np.bincount(
+            seg[hit],
+            weights=w[hit] * sig_f.ravel()[order[loc[hit]]],
+            minlength=size,
+        )
         return (-(sig_f * (g_f - sub.reshape(idx.shape)))).sum(axis=-1)
 
     def batch_update_fields(
@@ -381,45 +296,31 @@ class SparseCouplingOps:
         """Per-replica rank-``t`` update via a flat scatter-subtract.
 
         ``rows`` (A,) are accepted replica indices; ``cols`` / ``vals`` are
-        ``(A, t)`` (1-D accepted for the legacy single-flip call shape).
-        O(Σ degree · log) time and memory — neighbour lists only, no
-        ``(n, n)`` or ``(A, t, n)`` intermediate.
+        ``(A, t)``.  O(Σ degree · log) time and memory — neighbour lists
+        only, no ``(n, n)`` or ``(A, t, n)`` intermediate.
         """
-        if cols.ndim == 2 and cols.shape[1] == 1:
-            cols, vals = cols[:, 0], vals[:, 0]
-        if cols.ndim == 1:
-            counts, nbr, w = self._gather_rows(cols)
-            if nbr.size == 0:
-                return
-            flat = np.repeat(rows, counts) * self._n + nbr
-            # `rows` are distinct replicas and neighbour lists have unique
-            # columns, so the flat indices are unique and fancy -= is safe.
-            # Aliasing audited: every producer of g returns C order
-            # (_batch_local_fields_loop zeros in C order explicitly;
-            # the reduction kernel runs through ascontiguousarray).
-            g.reshape(-1)[flat] -= 2.0 * w * np.repeat(vals, counts)  # repro-lint: disable=RPL004
-            return
         t = cols.shape[1]
         counts, nbr, w = self._gather_rows(cols.ravel())
         if nbr.size == 0:
             return
         flat = np.repeat(np.repeat(rows, t), counts) * self._n + nbr
         contrib = w * np.repeat(vals.ravel(), counts)
+        # Aliasing audited: every producer of g (batch_matvec, the packed
+        # popcount fields) returns C order, so reshape(-1) is a view.
+        if t == 1:
+            # `rows` are distinct replicas and neighbour lists have unique
+            # columns, so the flat indices are unique and fancy -= is safe.
+            g.reshape(-1)[flat] -= 2.0 * contrib  # repro-lint: disable=RPL004
+            return
         # Two flipped spins of one replica may share a neighbour, giving
         # duplicate flat indices that a fancy -= would silently drop:
         # collapse duplicates with a segment sum first.
-        # Aliasing audited: g is C-contiguous by the same producer
-        # contract as the rank-1 path above.
         uniq, inv = np.unique(flat, return_inverse=True)
         g.reshape(-1)[uniq] -= 2.0 * np.bincount(inv, weights=contrib)  # repro-lint: disable=RPL004
 
     def offdiag_abs_values(self) -> np.ndarray:
         """|J_ij| of all stored off-diagonal entries (both triangles)."""
         return self._model.offdiag_abs_values()
-
-    def make_batch_state(self, sigma: np.ndarray) -> FloatBatchState:
-        """Replica spin-state adapter for the batch engine (float layout)."""
-        return FloatBatchState(self, sigma)
 
     def memory_bytes(self) -> int:
         """Bytes held by the coupling storage."""

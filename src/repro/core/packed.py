@@ -9,9 +9,10 @@ retains its float CSR arrays, and those kernels touch O(Σ degree) data
 per iteration, which profiling shows is *not* where replica time goes —
 and replaces the two places the full spin state is traversed:
 
-* ``local_fields`` / ``batch_local_fields`` run the cumulative-popcount
-  kernel (:meth:`~repro.ising.packed.PackedIsingModel.packed_fields`)
-  over bit-packed spin rows instead of a float ``bincount`` SpMV;
+* ``batch_local_fields`` runs the cumulative-popcount kernel
+  (:meth:`~repro.ising.packed.PackedIsingModel.packed_fields`) over
+  bit-packed spin rows instead of a float ``bincount`` SpMV (arbitrary
+  real inputs still go through the inherited ``batch_matvec``);
 * ``make_batch_state`` hands the batch engine a
   :class:`PackedBatchState` holding the replica spin tensor as uint64
   words — flips become XOR masks and gathers read bits, cutting the
@@ -37,6 +38,18 @@ from repro.ising.packed import (
 )
 
 _U64_ONE = np.uint64(1)
+
+
+def _packed_fields(model: PackedIsingModel, words: np.ndarray) -> np.ndarray:
+    """``(R, n)`` local fields of packed spin rows, one popcount pass each.
+
+    Returns a C-contiguous tensor (the float field-update scatter aliases
+    it through ``reshape(-1)``).
+    """
+    fields = np.empty((words.shape[0], model.num_spins), dtype=np.float64)
+    for r in range(words.shape[0]):
+        model.packed_fields(words[r], fields[r])
+    return fields
 
 
 def _toggle(words: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -68,14 +81,10 @@ class PackedBatchState:
     def __init__(self, model: PackedIsingModel, sigma: np.ndarray) -> None:
         self._n = int(sigma.shape[1])
         self._words = pack_spin_rows(sigma)
-        replicas = sigma.shape[0]
-        fields = np.empty((replicas, self._n), dtype=np.float64)
-        for r in range(replicas):
-            model.packed_fields(self._words[r], fields[r])
         #: Cached ``(R, n)`` local fields ``g_r = J σ_r`` (C-contiguous;
         #: the engine hands this to the inherited float field-update
         #: kernels, whose values are exact multiples of the dyadic scale).
-        self.fields = fields
+        self.fields = _packed_fields(model, self._words)
         self._best: np.ndarray | None = None  # materialised by record_best
 
     def gather(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -127,9 +136,9 @@ class PackedBatchState:
 class PackedCouplingOps(SparseCouplingOps):
     """Coupling operations over the bit-packed sign-only backend.
 
-    The incremental kernels (``cross_term`` / ``update_fields`` and their
-    batch variants, ``matvec`` / ``batch_matvec`` for the SB engines,
-    ``diag`` / ``offdiag_abs_values``) are inherited from
+    The incremental kernels (``cross_term``, ``update_fields`` and the
+    ``batch_*`` forms), ``batch_matvec`` for the SB engines and
+    ``diag`` / ``offdiag_abs_values`` are inherited from
     :class:`~repro.core.coupling.SparseCouplingOps` and stay exact on the
     retained float CSR arrays; the full-state traversals dispatch to the
     popcount kernel and the packed replica state.
@@ -141,29 +150,9 @@ class PackedCouplingOps(SparseCouplingOps):
         super().__init__(model)
         self._packed = model
 
-    def local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``g = J σ`` via cumulative popcount (O(nnz) bit traffic).
-
-        ``sigma`` must be a ±1 spin vector (the ``local_fields``
-        contract); arbitrary real inputs go through the inherited
-        :meth:`~repro.core.coupling.SparseCouplingOps.matvec`.
-        """
-        words = pack_spin_rows(np.asarray(sigma)[None, :])[0]
-        out = np.empty(self._n, dtype=np.float64)
-        return self._packed.packed_fields(words, out)
-
     def batch_local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``(R, n)`` local fields via per-replica popcount.
-
-        Returns a C-contiguous tensor (same producer contract as the
-        sparse kernels: the field-update scatter aliases it through
-        ``reshape(-1)``).
-        """
-        words = pack_spin_rows(sigma)
-        g = np.empty(sigma.shape, dtype=np.float64)
-        for r in range(sigma.shape[0]):
-            self._packed.packed_fields(words[r], g[r])
-        return g
+        """``(R, n)`` local fields of ±1 spin rows via per-row popcount."""
+        return _packed_fields(self._packed, pack_spin_rows(sigma))
 
     def make_batch_state(self, sigma: np.ndarray) -> PackedBatchState:
         """Bit-packed replica spin state for the batch engine."""

@@ -21,8 +21,10 @@
   compilation; the cache's hit/miss/eviction counters surface in
   :meth:`SolverService.stats`;
 * a stacked run that raises is retried lane by lane, so one bad lane
-  fails only its own job, and a job whose submitter was cancelled while
-  it queued is dropped before it takes a run.
+  fails only its own job; a fault outside the per-job handlers fails
+  its own batch and the scheduler keeps serving; and a job whose
+  submitter was cancelled while it queued is dropped before it takes a
+  run.
 
 Either way the result handed back for a job is bit-identical to the solo
 ``solve_ising(model, method, iterations, seed=seed, replicas=…,
@@ -244,9 +246,14 @@ class SolverService:
             if not batch:
                 continue
             jobs = [job for job, _ in batch]
-            outcomes = await loop.run_in_executor(
-                self._executor, self._solve_batch, jobs
-            )
+            try:
+                outcomes = await loop.run_in_executor(
+                    self._executor, self._solve_batch, jobs
+                )
+            except Exception as exc:  # noqa: BLE001 — fails this batch only
+                # A fault outside the per-job handlers must not end the
+                # scheduler: fail this batch's jobs with it, keep serving.
+                outcomes = [exc] * len(jobs)
             self._batches += 1
             for (_, fut), outcome in zip(batch, outcomes):
                 self._jobs_done += 1

@@ -5,9 +5,10 @@ The batch engines advance R replicas with array-wide rank-``t`` moves
 the strongest available: for dyadic couplings — where every floating-point
 sum is exact in any order — a batch run must be **bit-identical, replica by
 replica**, to a straight-line reference loop that replays the same RNG
-stream through the *sequential* coupling ops (``cross_term`` /
-``update_fields``) one replica at a time.  That ties the vectorised rank-t
-kernels to the sequential rank-t mathematics on both coupling backends.
+stream one replica at a time, taking each ``ΔE`` from the model's own
+``delta_energy_flips`` rather than from any coupling kernel.  That ties
+the vectorised rank-t kernels to the rank-t mathematics on both coupling
+backends.
 
 Also covered: acceptance-rule parity between the batch and sequential
 engines at comparison boundaries (the satellite audit), rank-t validation,
@@ -60,8 +61,8 @@ def reference_batch_run(engine, iterations: int):
 
     Consumes the engine's RNG in exactly the order :meth:`_BatchEngine.run`
     does (schedule → initial state → proposal tensor → per-iteration
-    uniforms), then advances each replica independently with the
-    *sequential* coupling ops and the *sequential* acceptance rules.
+    uniforms), then advances each replica independently with the model's
+    ``delta_energy_flips`` and the *sequential* acceptance rules.
     Returns ``(best_energies, best_sigmas, final_energies, final_sigmas,
     accepted)`` in the caller's original spin ordering.
     """
@@ -76,9 +77,9 @@ def reference_batch_run(engine, iterations: int):
         proposals = engine._fwd[proposals]
     uniforms = np.stack([rng.random(R) for _ in range(iterations)])
 
-    ops = coupling_ops(engine.model)
-    h = engine.model.h
-    has_fields = engine.model.has_fields
+    model = engine.model
+    h = model.h
+    has_fields = model.has_fields
     insitu = isinstance(engine, BatchInSituAnnealer)
 
     best_energies = np.empty(R)
@@ -88,18 +89,17 @@ def reference_batch_run(engine, iterations: int):
     accepted = np.zeros(R, dtype=np.int64)
     for r in range(R):
         sig = sigma0[r].copy()
-        g = ops.local_fields(sig)
-        energy = float(sig @ g + h @ sig) + engine.model.offset
+        energy = model.energy(sig)
         best_energy, best_sig = energy, sig.copy()
         for it in range(iterations):
             temperature = schedule.temperature(it)
             flips = proposals[it, r].astype(np.intp)
             sig_f = sig[flips]
-            cross = ops.cross_term(g, flips, sig_f)
+            delta_e = model.delta_energy_flips(sig, flips)
             field_term = (
                 float(-(h[flips] * sig_f).sum()) if has_fields else 0.0
             )
-            delta_e = 4.0 * cross + 2.0 * field_term
+            cross = (delta_e - 2.0 * field_term) / 4.0
             u = uniforms[it, r]
             if insitu:
                 # the sequential InSituAnnealer rule, verbatim
@@ -120,7 +120,6 @@ def reference_batch_run(engine, iterations: int):
                     )
             if accept:
                 accepted[r] += 1
-                ops.update_fields(g, flips, sig_f)
                 sig[flips] = -sig_f
                 energy += delta_e
                 if energy < best_energy:
@@ -230,7 +229,8 @@ class TestCrossTermLaneAxis:
         diagonal, so each set must see only its own flips.
         """
         dense, sparse = dyadic_pair(seed)
-        ops = coupling_ops(dense if backend == "dense" else sparse)
+        model = dense if backend == "dense" else sparse
+        ops = coupling_ops(model)
         rng = ensure_rng(seed)
         R, n = 3, dense.num_spins
         sigma = rng.choice(np.array([-1.0, 1.0]), size=(R, n))
@@ -247,7 +247,10 @@ class TestCrossTermLaneAxis:
             assert flat.shape == (R,)
             assert np.array_equal(got[:, j], flat)
             for r in range(R):
-                assert got[r, j] == ops.cross_term(g[r], idx[r, j], sig_f[r, j])
+                sigma_c = np.zeros(n)
+                sigma_c[idx[r, j]] = -sig_f[r, j]
+                delta_e = model.delta_energy_flips(sigma[r], idx[r, j])
+                assert got[r, j] == (delta_e - 2.0 * (model.h @ sigma_c)) / 4.0
 
 
 class TestAcceptanceParity:

@@ -228,7 +228,9 @@ class TestFieldExactness:
         ops_s, ops_p = coupling_ops(sparse), coupling_ops(packed)
         assert isinstance(ops_p, PackedCouplingOps)
         sigma = sparse.random_configuration(rng)
-        assert np.array_equal(ops_p.local_fields(sigma), ops_s.local_fields(sigma))
+        assert np.array_equal(
+            ops_p.batch_local_fields(sigma[None]), ops_s.batch_local_fields(sigma[None])
+        )
         batch = rng.choice(np.array([-1, 1], dtype=np.int8), size=(5, n))
         gp = ops_p.batch_local_fields(batch)
         gs = ops_s.batch_local_fields(batch)
@@ -241,7 +243,7 @@ class TestFieldExactness:
         )
         sigma = np.ones(5, dtype=np.int8)
         assert np.array_equal(
-            coupling_ops(empty).local_fields(sigma), np.zeros(5)
+            coupling_ops(empty).batch_local_fields(sigma[None]), np.zeros((1, 5))
         )
 
     def test_batch_state_protocol_matches_float_twin(self):

@@ -2,7 +2,7 @@
 
 Three layers, mirroring the backend-equivalence suite's contract:
 
-* the new ``matvec`` / ``batch_matvec`` coupling ops agree across the
+* the ``batch_matvec`` coupling op agrees across the
   dense and CSR adapters — bit-for-bit when couplings *and* inputs are
   dyadic rationals (every sum exact in any order), allclose otherwise;
 * the bSB/dSB engines are backend-transparent: fixed-seed trajectories
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core import (
     SB_VARIANTS,
     SbEngine,
+    compile_plan,
     coupling_ops,
     solve_ising,
     solve_maxcut,
@@ -60,7 +61,7 @@ def signed_problem(n: int, m: int, seed: int) -> MaxCutProblem:
 
 
 # ----------------------------------------------------------------------
-# Coupling-op parity: matvec / batch_matvec across backends
+# Coupling-op parity: batch_matvec across backends
 # ----------------------------------------------------------------------
 class TestMatvecParity:
     @relaxed
@@ -78,7 +79,9 @@ class TestMatvecParity:
             rng.choice([-1.0, 1.0], size=n),
             rng.integers(-64, 65, size=n) / 64.0,
         ):
-            assert np.array_equal(dense_ops.matvec(x), sparse_ops.matvec(x))
+            assert np.array_equal(
+                dense_ops.batch_matvec(x[None]), sparse_ops.batch_matvec(x[None])
+            )
         X = rng.integers(-64, 65, size=(5, n)) / 64.0
         assert np.array_equal(
             dense_ops.batch_matvec(X), sparse_ops.batch_matvec(X)
@@ -95,7 +98,8 @@ class TestMatvecParity:
         rng = ensure_rng(seed + 2)
         x = rng.normal(size=sparse.num_spins)
         assert np.allclose(
-            dense_ops.matvec(x), sparse_ops.matvec(x), rtol=1e-12, atol=1e-12
+            dense_ops.batch_matvec(x[None]), sparse_ops.batch_matvec(x[None]),
+            rtol=1e-12, atol=1e-12,
         )
         X = rng.normal(size=(4, sparse.num_spins))
         assert np.allclose(
@@ -106,21 +110,27 @@ class TestMatvecParity:
     @relaxed
     @given(seed=st.integers(0, 10_000))
     def test_batch_rows_equal_single_matvec(self, seed):
-        """batch_matvec is row-wise matvec, bit for bit, on both backends."""
+        """A batch product is its one-row products, bit for bit, on both
+        backends."""
         sparse = dyadic_sparse_model(seed)
         rng = ensure_rng(seed + 3)
         X = rng.integers(-64, 65, size=(4, sparse.num_spins)) / 64.0
         for ops in (coupling_ops(sparse), coupling_ops(sparse.to_dense())):
             batch = ops.batch_matvec(X)
             for r in range(X.shape[0]):
-                assert np.array_equal(batch[r], ops.matvec(X[r]))
+                assert np.array_equal(batch[r], ops.batch_matvec(X[r : r + 1])[0])
 
     def test_matvec_matches_local_fields_on_spins(self):
-        """On ±1 inputs matvec is exactly the cached local-fields product."""
+        """On ±1 inputs batch_matvec is exactly the local-fields product."""
         model = dyadic_sparse_model(7)
         sigma = model.random_configuration(3).astype(np.float64)
         for ops in (coupling_ops(model), coupling_ops(model.to_dense())):
-            assert np.array_equal(ops.matvec(sigma), ops.local_fields(sigma))
+            assert np.array_equal(
+                ops.batch_matvec(sigma[None]), ops.batch_local_fields(sigma[None])
+            )
+            assert np.array_equal(
+                ops.batch_matvec(sigma[None])[0], model.local_fields(sigma)
+            )
 
 
 # ----------------------------------------------------------------------
@@ -349,13 +359,13 @@ class TestTiledSb:
         ops = coupling_ops(crossbar.stored_model())
         rng = ensure_rng(0)
         x = rng.choice([-1.0, 1.0], size=model.num_spins)
-        assert np.array_equal(crossbar.matvec(x), ops.matvec(x))
+        assert np.array_equal(crossbar.matvec(x), ops.batch_matvec(x[None])[0])
         X = rng.choice([-1.0, 1.0], size=(4, model.num_spins))
         assert np.array_equal(crossbar.batch_matvec(X), ops.batch_matvec(X))
-        # 1-D input through the batch entry point delegates to matvec
-        assert np.array_equal(crossbar.batch_matvec(x), crossbar.matvec(x))
+        # matvec is the one-row view of the batch entry point
+        assert np.array_equal(crossbar.batch_matvec(x[None])[0], crossbar.matvec(x))
         xc = rng.uniform(-1, 1, size=model.num_spins)
-        assert np.allclose(crossbar.matvec(xc), ops.matvec(xc))
+        assert np.allclose(crossbar.matvec(xc), ops.batch_matvec(xc[None])[0])
 
     @pytest.mark.parametrize("tile_size", [16, 25])
     def test_tiled_sb_equals_software_sb(self, tile_size):
@@ -389,6 +399,28 @@ class TestTiledSb:
             assert np.array_equal(
                 tiled.anneal.best_sigmas, base.anneal.best_sigmas
             )
+
+    def test_tiled_sb_honours_explicit_permutation(self):
+        """An explicit ``permutation=`` lays out the tiled SB grid like
+        ``reorder=`` does: the plan reports it, and the run (±1 weights,
+        exact stored image) is bit-identical to the software solve."""
+        problem = signed_problem(50, 200, seed=8)
+        model = problem.to_ising(backend="sparse")
+        perm = Permutation(ensure_rng(4).permutation(model.num_spins))
+        plan = compile_plan(model, method="sb", tile_size=16, permutation=perm)
+        assert plan.permutation is perm
+        assert plan.summary()["ordering"] == perm.strategy != "identity"
+        tiled = plan.execute(200, seed=3)
+        soft = solve_ising(model, method="sb", iterations=200, seed=3)
+        assert tiled.best_energy == soft.best_energy
+        assert np.array_equal(tiled.best_sigma, soft.best_sigma)
+        batch = compile_plan(
+            model, method="sb", tile_size=16, permutation=perm, replicas=2
+        ).execute(200, seed=3)
+        soft = solve_ising(model, method="sb", iterations=200, seed=3,
+                           replicas=2)
+        assert np.array_equal(batch.best_sigmas, soft.best_sigmas)
+        assert np.array_equal(batch.best_energies, soft.best_energies)
 
     def test_tiled_sb_with_fields_strips_ancilla(self):
         """A fielded model folds through the ancilla spin and the returned

@@ -255,6 +255,46 @@ class TestService:
         assert stats["failed_jobs"] == 1
         assert stats["solo_jobs"] == 2
 
+    def test_escaping_fault_fails_its_batch_and_keeps_serving(self, monkeypatch):
+        """A fault outside the per-job handlers (here: building the result
+        of a stacked lane) fails that batch's jobs and the scheduler lives
+        on; before, every pending and later submit hung."""
+        jobs = [
+            job_request(f"esc-{i}", member(9, 70 + i), method="sa",
+                        iterations=20, replicas=2, seed=i)
+            for i in range(2)
+        ]
+        later = job_request("after", member(9, 80), method="sa",
+                            iterations=20, replicas=2, seed=5)
+        as_result = SolverService._as_result
+
+        def fragile(job, res, packed, batch_size):
+            if packed:
+                raise RuntimeError("result assembly failed")
+            return as_result(job, res, packed, batch_size)
+
+        monkeypatch.setattr(SolverService, "_as_result", staticmethod(fragile))
+
+        async def run():
+            async with SolverService(service_config(gather_window=0.05)) as svc:
+                outs = await asyncio.wait_for(asyncio.gather(
+                    *(svc.submit(j) for j in jobs), return_exceptions=True
+                ), 10)
+                after = await asyncio.wait_for(svc.submit(later), 10)
+                return outs, after, svc.stats()
+
+        outs, after, stats = asyncio.run(run())
+        for out in outs:
+            assert isinstance(out, RuntimeError)
+            assert "result assembly failed" in str(out)
+        solo = solve_ising(
+            later.model, method="sa", iterations=20, seed=5, replicas=2
+        )
+        assert after.job_id == "after"
+        assert np.array_equal(after.best_sigmas, solo.best_sigmas)
+        assert stats["failed_jobs"] == 2
+        assert stats["jobs"] == 3
+
     def test_cancelled_queued_job_is_dropped(self):
         jobs = [
             job_request(f"c-{i}", member(8, i), method="sa", iterations=10,
